@@ -3,8 +3,9 @@
 Reports are emitted human-readable on stdout and, with --json, as a JSON
 document in which every potentially large integer is a decimal string.
 Completed computations can be cached under --cache-dir (or
-$TRICM_CACHE_DIR); cache keys are digests over the normalized edge list,
-the operation and its parameters, so hits are bit-identical to a rerun.
+$TRICM_CACHE_DIR); cache keys are digests over the package sources, the
+normalized edge list, the operation and its parameters, so hits are
+bit-identical to a rerun.
 
 Exit codes: 0 completed, 2 usage error, 3 input error, 4 resource cap.
 """
@@ -12,13 +13,14 @@ Exit codes: 0 completed, 2 usage error, 3 input error, 4 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
 
-from . import __version__, cmcheck, complexes, graphs, homology, ideals
+from . import cmcheck, complexes, graphs, homology, ideals
 from .homology import FieldSpec
 
 EXIT_OK = 0
@@ -40,24 +42,31 @@ def _parse_char(value: str) -> int:
         raise argparse.ArgumentTypeError(str(e))
 
 
-def _load_graph(args) -> tuple[graphs.Graph, dict]:
-    if getattr(args, "triangular", None) is not None:
+def _load_input(args) -> tuple[dict, graphs.Graph | None, complexes.SimplicialComplex | None]:
+    """(input description, graph, complex): the graph for --triangular and
+    --graph, the complex for --complex."""
+    if args.triangular is not None:
         n = args.triangular
         if n < 2:
             raise InputError(f"triangular graph requires n >= 2, got {n}")
-        g = graphs.triangular(n)
-        return g, {"kind": "triangular", "n": n}
-    path = args.graph
+        return {"kind": "triangular", "n": n}, graphs.triangular(n), None
+    path = args.graph if args.graph is not None else args.complex
     try:
         text = open(path).read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e}")
-    try:
-        g = graphs.parse_edge_list(text)
-    except ValueError as e:
-        raise InputError(f"malformed edge list {path}: {e}")
     digest = hashlib.sha256(text.encode()).hexdigest()
-    return g, {"kind": "file", "path": path, "sha256": digest}
+    if args.graph is not None:
+        try:
+            g = graphs.parse_edge_list(text)
+        except ValueError as e:
+            raise InputError(f"malformed edge list {path}: {e}")
+        return {"kind": "file", "path": path, "sha256": digest}, g, None
+    try:
+        c = complexes.deserialize(text)
+    except ValueError as e:
+        raise InputError(f"malformed complex file: {e}")
+    return {"kind": "complex-file", "path": path, "sha256": digest}, None, c
 
 
 def _graph_section(g: graphs.Graph) -> dict:
@@ -94,11 +103,26 @@ def _cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("TRICM_CACHE_DIR")
 
 
-def _cache_key(input_desc: dict, g: graphs.Graph | None, op: str, params: dict) -> str:
+@functools.cache
+def _source_digest() -> str:
+    """Digest of the package sources: any change to the code that produced
+    a cached result invalidates it."""
+    here = os.path.dirname(__file__)
+    h = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
+# parsed options that select the input or the output, not the computation
+_NOT_PARAMS = ("triangular", "graph", "complex", "json", "cache_dir")
+
+
+def _cache_key(input_desc: dict, g: graphs.Graph | None, args) -> str:
     payload = {
-        "version": __version__,
-        "op": op,
-        "params": params,
+        "source": _source_digest(),
+        "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS},
         "input": input_desc,
         "edges": list(g.edges) if g is not None else None,
         "vertices": g.vertex_count if g is not None else None,
@@ -107,17 +131,19 @@ def _cache_key(input_desc: dict, g: graphs.Graph | None, op: str, params: dict) 
     return hashlib.sha256(blob).hexdigest()
 
 
-def _cache_get(cachedir: str | None, key: str) -> dict | None:
+def _cache_get(cachedir: str | None, key: str | None) -> dict | None:
+    """The cached report, or None on a miss; an unreadable or corrupt file
+    is a miss and gets overwritten."""
     if not cachedir:
         return None
-    path = os.path.join(cachedir, key + ".json")
-    if not os.path.exists(path):
+    try:
+        with open(os.path.join(cachedir, key + ".json")) as fh:
+            return json.load(fh)
+    except (OSError, ValueError):
         return None
-    with open(path) as fh:
-        return json.load(fh)
 
 
-def _cache_put(cachedir: str | None, key: str, report: dict):
+def _cache_put(cachedir: str | None, key: str | None, report: dict):
     if not cachedir:
         return
     os.makedirs(cachedir, exist_ok=True)
@@ -150,81 +176,52 @@ def _base_report(input_desc: dict, g: graphs.Graph) -> dict:
     }
 
 
-def cmd_classify(args) -> int:
-    g, input_desc = _load_graph(args)
-    chars = args.char or [0]
-    cachedir = _cache_dir(args)
-    params = {"chars": sorted(set(chars)), "full": bool(args.full)}
-    key = _cache_key(input_desc, g, "classify", params)
-    t0 = time.monotonic()
-    cached = _cache_get(cachedir, key)
-    if cached is not None:
-        report = cached
-    else:
-        report = _base_report(input_desc, g)
-        c = complexes.independence_complex(g)
-        f = complexes.f_vector(c)
-        report["f_vector"] = _vec(f.entries)
-        report["h_vector"] = _vec(complexes.h_vector(f).entries)
-        verdicts = []
-        for ch in sorted(set(chars)):
-            field = FieldSpec(ch)
-            if input_desc["kind"] == "triangular":
-                v = cmcheck.classify_triangular(input_desc["n"], field, force_full=args.full)
-            else:
-                k = cmcheck.h_screen(c)
-                if k is not None:
-                    h = complexes.h_vector(f)
-                    v = cmcheck.CmVerdict(
-                        cmcheck.NOT_CM,
-                        field,
-                        (cmcheck.Witness("delta_G", "h-vector", k, h.entries[k]),),
-                        "h-screen",
-                    )
-                else:
-                    v = cmcheck.reisner_check(c, field, name="delta_G")
-            verdicts.append(_verdict_json(v))
-        report["verdicts"] = verdicts
-        _cache_put(cachedir, key, report)
-    report = dict(report)
-    report["timings"] = {"total_ms": round((time.monotonic() - t0) * 1000, 3)}
+def _vectors_json(f: complexes.FVector) -> dict:
+    return {"f_vector": _vec(f.entries), "h_vector": _vec(complexes.h_vector(f).entries)}
+
+
+def _classify(args, input_desc, g, c, report):
+    c = complexes.independence_complex(g)
+    report.update(_vectors_json(complexes.f_vector(c)))
+    verdicts = []
+    for ch in args.char:
+        field = FieldSpec(ch)
+        if input_desc["kind"] == "triangular":
+            v = cmcheck.classify_triangular(input_desc["n"], field, force_full=args.full)
+        else:
+            v = cmcheck.classify_complex(c, field, name="delta_G")
+        verdicts.append(_verdict_json(v))
+    report["verdicts"] = verdicts
+
+
+def _classify_text(args, report):
+    lines = []
     for v in report["verdicts"]:
-        print(f"char {v['char']}: {v['status']} (method: {v['method']})")
+        lines.append(f"char {v['char']}: {v['status']} (method: {v['method']})")
         for w in v["witnesses"]:
-            print(f"  witness: {w['complex']} {w['kind']} index {w['index']} value {w['value']}")
-    dump_report(report, args)
-    return EXIT_OK
+            lines.append(f"  witness: {w['complex']} {w['kind']} index {w['index']} value {w['value']}")
+    return lines, EXIT_OK
 
 
-def cmd_vectors(args) -> int:
-    g, input_desc = _load_graph(args)
+def _vectors(args, input_desc, g, c, report):
     if args.closed_form and input_desc["kind"] != "triangular":
         raise InputError("--closed-form applies to triangular graphs only")
-    cachedir = _cache_dir(args)
-    key = _cache_key(input_desc, g, "vectors", {"closed_form": bool(args.closed_form)})
-    t0 = time.monotonic()
-    cached = _cache_get(cachedir, key)
-    if cached is not None:
-        report = cached
-    else:
-        report = _base_report(input_desc, g)
-        f = complexes.f_vector(complexes.independence_complex(g))
-        if args.closed_form:
-            closed = complexes.triangular_f_closed(input_desc["n"])
-            if closed.entries != f.entries:
-                raise AssertionError(
-                    f"closed-form f-vector {closed.entries} disagrees with "
-                    f"enumeration {f.entries}"
-                )
-        report["f_vector"] = _vec(f.entries)
-        report["h_vector"] = _vec(complexes.h_vector(f).entries)
-        _cache_put(cachedir, key, report)
-    report = dict(report)
-    report["timings"] = {"total_ms": round((time.monotonic() - t0) * 1000, 3)}
-    print("f =", "(" + ",".join(report["f_vector"]) + ")")
-    print("h =", "(" + ",".join(report["h_vector"]) + ")")
-    dump_report(report, args)
-    return EXIT_OK
+    f = complexes.f_vector(complexes.independence_complex(g))
+    if args.closed_form:
+        closed = complexes.triangular_f_closed(input_desc["n"])
+        if closed.entries != f.entries:
+            raise AssertionError(
+                f"closed-form f-vector {closed.entries} disagrees with "
+                f"enumeration {f.entries}"
+            )
+    report.update(_vectors_json(f))
+
+
+def _vectors_text(args, report):
+    return [
+        "f = (" + ",".join(report["f_vector"]) + ")",
+        "h = (" + ",".join(report["h_vector"]) + ")",
+    ], EXIT_OK
 
 
 _KIND_MAP = {
@@ -251,105 +248,88 @@ def _render_monomial(m, labels) -> str:
     return "*".join(parts)
 
 
-def cmd_hsop(args) -> int:
-    g, input_desc = _load_graph(args)
+def _hsop(args, input_desc, g, c, report):
     kind = _KIND_MAP[args.kind]
-    cachedir = _cache_dir(args)
-    params = {
-        "kind": kind,
-        "verify": bool(args.verify),
-        "char": args.char,
-        "degree_cap": args.degree_cap,
-    }
-    key = _cache_key(input_desc, g, "hsop", params)
-    t0 = time.monotonic()
-    cached = _cache_get(cachedir, key)
-    if cached is not None:
-        report = cached
-    else:
-        report = _base_report(input_desc, g)
+    try:
         seq = ideals.hsop(g, kind)
-        forms_json = []
-        for form in seq.forms:
-            forms_json.append(
-                {
-                    "monomials": [[[v, p] for v, p in m] for m in form],
-                    "rendered": " + ".join(_render_monomial(m, g.labels) for m in form),
-                }
-            )
-        report["hsop"] = {"kind": kind, "forms": forms_json}
         if args.verify:
-            field = FieldSpec(args.char)
-            try:
-                verdict = ideals.verify_regular(g, seq, field, degree_cap=args.degree_cap)
-            except ValueError as e:
-                raise InputError(str(e))
-            report["hsop"]["verify"] = {
-                "status": verdict.status,
-                "char": args.char,
-                "failing_degree": verdict.failing_degree,
-                "per_degree": [
-                    {"degree": d, "expected": str(e), "actual": str(a)}
-                    for d, e, a in verdict.per_degree
-                ],
+            verdict = ideals.verify_regular(g, seq, FieldSpec(args.char), degree_cap=args.degree_cap)
+    except ValueError as e:
+        raise InputError(str(e))
+    forms_json = []
+    for form in seq.forms:
+        forms_json.append(
+            {
+                "monomials": [[[v, p] for v, p in m] for m in form],
+                "rendered": " + ".join(_render_monomial(m, g.labels) for m in form),
             }
+        )
+    report["hsop"] = {"kind": kind, "forms": forms_json}
+    if args.verify:
+        report["hsop"]["verify"] = {
+            "status": verdict.status,
+            "char": args.char,
+            "failing_degree": verdict.failing_degree,
+            "per_degree": [
+                {"degree": d, "expected": str(e), "actual": str(a)}
+                for d, e, a in verdict.per_degree
+            ],
+        }
+
+
+def _hsop_text(args, report):
+    lines = [f"F_{k} = {form['rendered']}" for k, form in enumerate(report["hsop"]["forms"], 1)]
+    if "verify" not in report["hsop"]:
+        return lines, EXIT_OK
+    status = report["hsop"]["verify"]["status"]
+    lines.append(f"regularity over char {args.char}: {status}")
+    return lines, EXIT_CAP if status == ideals.CAP_REACHED else EXIT_OK
+
+
+def _homology(args, input_desc, g, c, report):
+    if c is None:
+        c = complexes.independence_complex(g)
+    report["betti"] = [
+        {"char": ch, "dims": _vec(homology.reduced_betti_table(c, FieldSpec(ch)).dims)}
+        for ch in args.char
+    ]
+
+
+def _homology_text(args, report):
+    return [
+        f"char {entry['char']}: reduced Betti dims (i = -1..dim) = ({','.join(entry['dims'])})"
+        for entry in report["betti"]
+    ], EXIT_OK
+
+
+# subcommand -> (compute body, text lines and exit code)
+_COMMANDS = {
+    "classify": (_classify, _classify_text),
+    "vectors": (_vectors, _vectors_text),
+    "hsop": (_hsop, _hsop_text),
+    "homology": (_homology, _homology_text),
+}
+
+
+def run(args) -> int:
+    """Load the input, then take the report from the cache or compute and
+    cache it, print its text lines and dump it."""
+    compute, text = _COMMANDS[args.command]
+    input_desc, g, c = _load_input(args)
+    cachedir = _cache_dir(args)
+    key = _cache_key(input_desc, g, args) if cachedir else None
+    t0 = time.monotonic()
+    report = _cache_get(cachedir, key)
+    if report is None:
+        report = _base_report(input_desc, g) if g is not None else {"input": input_desc}
+        compute(args, input_desc, g, c, report)
         _cache_put(cachedir, key, report)
-    report = dict(report)
     report["timings"] = {"total_ms": round((time.monotonic() - t0) * 1000, 3)}
-    for k, form in enumerate(report["hsop"]["forms"], 1):
-        print(f"F_{k} = {form['rendered']}")
-    rc = EXIT_OK
-    if "verify" in report["hsop"]:
-        status = report["hsop"]["verify"]["status"]
-        print(f"regularity over char {args.char}: {status}")
-        if status == ideals.CAP_REACHED:
-            rc = EXIT_CAP
+    lines, rc = text(args, report)
+    for line in lines:
+        print(line)
     dump_report(report, args)
     return rc
-
-
-def cmd_homology(args) -> int:
-    if args.complex is not None:
-        try:
-            text = open(args.complex).read()
-        except OSError as e:
-            raise InputError(f"cannot read {args.complex}: {e}")
-        try:
-            c = complexes.deserialize(text)
-        except ValueError as e:
-            raise InputError(f"malformed complex file: {e}")
-        g = None
-        input_desc = {
-            "kind": "complex-file",
-            "path": args.complex,
-            "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        }
-        report = {"input": input_desc}
-    else:
-        g, input_desc = _load_graph(args)
-        c = complexes.independence_complex(g)
-        report = _base_report(input_desc, g)
-    chars = args.char or [0]
-    cachedir = _cache_dir(args)
-    key = _cache_key(input_desc, g, "homology", {"chars": sorted(set(chars))})
-    t0 = time.monotonic()
-    cached = _cache_get(cachedir, key)
-    if cached is not None:
-        report = cached
-    else:
-        betti = []
-        for ch in sorted(set(chars)):
-            table = homology.reduced_betti_table(c, FieldSpec(ch))
-            betti.append({"char": ch, "dims": _vec(table.dims)})
-        report["betti"] = betti
-        _cache_put(cachedir, key, report)
-    report = dict(report)
-    report["timings"] = {"total_ms": round((time.monotonic() - t0) * 1000, 3)}
-    for entry in report["betti"]:
-        dims = ",".join(entry["dims"])
-        print(f"char {entry['char']}: reduced Betti dims (i = -1..dim) = ({dims})")
-    dump_report(report, args)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,12 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--char", type=_parse_char, action="append")
     p.add_argument("--full", action="store_true", help="force the full Reisner check")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("vectors", help="f- and h-vector of the independence complex")
     add_input(p)
     p.add_argument("--closed-form", action="store_true")
-    p.set_defaults(func=cmd_vectors)
 
     p = sub.add_parser("hsop", help="homogeneous system of parameters")
     add_input(p)
@@ -385,12 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.add_argument("--char", type=_parse_char, default=0)
     p.add_argument("--degree-cap", type=int, default=None)
-    p.set_defaults(func=cmd_hsop)
 
     p = sub.add_parser("homology", help="reduced Betti table")
     add_input(p, with_complex=True)
     p.add_argument("--char", type=_parse_char, action="append")
-    p.set_defaults(func=cmd_homology)
 
     return parser
 
@@ -398,8 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("classify", "homology"):
+        args.char = sorted(set(args.char or [0]))
     try:
-        rc = args.func(args)
+        rc = run(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         rc = EXIT_INPUT

@@ -56,16 +56,36 @@ class KrullDimension:
     value: int
 
 
+def _h_witness(f: complexes.FVector, name: str) -> Witness | None:
+    """The first negative entry of the h-vector of f, or None if all are
+    nonnegative.  A negative entry rules out CM over every field."""
+    for k, v in enumerate(complexes.h_vector(f).entries):
+        if v < 0:
+            return Witness(name, "h-vector", k, v)
+    return None
+
+
 def h_screen(c: SimplicialComplex) -> int | None:
     """Index of the first negative h-vector entry, or None if all are
-    nonnegative.  A negative entry rules out CM over every field."""
+    nonnegative."""
     if c.is_void:
         raise ValueError("void complex")
-    h = complexes.h_vector(complexes.f_vector(c))
-    for k, v in enumerate(h.entries):
-        if v < 0:
-            return k
-    return None
+    w = _h_witness(complexes.f_vector(c), "")
+    return None if w is None else w.index
+
+
+def _h_screen_verdict(c: SimplicialComplex, field: FieldSpec, name: str) -> CmVerdict | None:
+    """NOT_CM with the first negative h-vector entry of c as witness, or
+    None if the h-screen passes."""
+    if h_screen(c) is None:
+        return None
+    return CmVerdict(NOT_CM, field, (_h_witness(complexes.f_vector(c), name),), "h-screen")
+
+
+def classify_complex(c: SimplicialComplex, field: FieldSpec, name: str = "complex") -> CmVerdict:
+    """Classification of an arbitrary complex: the h-screen first, then
+    the generic Reisner check."""
+    return _h_screen_verdict(c, field, name) or reisner_check(c, field, name=name)
 
 
 def _link_digest(link: SimplicialComplex) -> bytes:
@@ -130,14 +150,6 @@ def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
         c = complexes.triangular_complex(l)
         if c.is_void or c.dim <= 0:
             continue
-        if c.dim == 1:
-            if not complexes.is_connected(c):
-                table = homology.reduced_betti_table(c, field)
-                i, b = _betti_violation(table, c.dim)
-                return CmVerdict(
-                    NOT_CM, field, (Witness(f"delta({l})", "homology", i, b),), "reisner-parity"
-                )
-            continue
         table = homology.reduced_betti_table(c, field)
         hit = _betti_violation(table, c.dim)
         if hit is not None:
@@ -146,14 +158,6 @@ def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
                 NOT_CM, field, (Witness(f"delta({l})", "homology", i, b),), "reisner-parity"
             )
     return CmVerdict(CM, field, (), "reisner-parity")
-
-
-def _h_screen_witness(n: int) -> Witness:
-    h = complexes.h_vector(complexes.triangular_f_closed(n))
-    for k, v in enumerate(h.entries):
-        if v < 0:
-            return Witness(f"delta({n})", "h-vector", k, v)
-    raise AssertionError(f"h-vector of D({n}) has no negative entry")
 
 
 def classify_triangular(n: int, field: FieldSpec, force_full: bool = False) -> CmVerdict:
@@ -171,14 +175,9 @@ def classify_triangular(n: int, field: FieldSpec, force_full: bool = False) -> C
         return fast
     # full route: h-screen first (it refutes D(11) with no linear algebra),
     # then the parity-reduced homology check
-    k = h_screen(complexes.triangular_complex(n)) if n >= 4 else None
-    if k is not None:
-        h = complexes.h_vector(complexes.triangular_f_closed(n))
-        full = CmVerdict(
-            NOT_CM, field, (Witness(f"delta({n})", "h-vector", k, h.entries[k]),), "h-screen"
-        )
-    else:
-        full = reisner_triangular(n, field)
+    full = _h_screen_verdict(
+        complexes.triangular_complex(n), field, f"delta({n})"
+    ) or reisner_triangular(n, field)
     if full.status != fast.status:
         raise AssertionError(
             f"full Reisner check disagrees with fast path for n={n}: "
@@ -196,7 +195,8 @@ def _classify_fast(n: int, field: FieldSpec) -> CmVerdict:
             NOT_CM, field, (Witness("delta(4)", "homology", 0, 2),), "fast-path-theorem"
         )
     if n >= 11:
-        return CmVerdict(NOT_CM, field, (_h_screen_witness(11),), "fast-path-theorem")
+        w = _h_witness(complexes.triangular_f_closed(11), "delta(11)")
+        return CmVerdict(NOT_CM, field, (w,), "fast-path-theorem")
     return reisner_triangular(n, field)
 
 

@@ -295,7 +295,7 @@ def serialize(c: SimplicialComplex) -> str:
 
 
 def deserialize(text: str) -> SimplicialComplex:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    lines = [l for l in map(str.strip, text.splitlines()) if l and not l.startswith("#")]
     if not lines:
         raise ValueError("empty complex file")
     head = lines[0].split()

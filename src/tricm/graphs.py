@@ -211,9 +211,9 @@ def minimal_vertex_covers(g: Graph) -> list[tuple[int, ...]]:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: one edge "u v" per line with
-    arbitrary string labels ('#' lines ignored); a single label on a line
-    declares an isolated vertex.  Labels map to indices in first-appearance
-    order."""
+    arbitrary string labels; a single label on a line declares an isolated
+    vertex.  A token starting with '#' comments out the rest of its line.
+    Labels map to indices in first-appearance order."""
     index: dict[str, int] = {}
     labels: list[str] = []
 
@@ -225,10 +225,9 @@ def parse_edge_list(text: str) -> Graph:
 
     edges = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = list(itertools.takewhile(lambda t: not t.startswith("#"), raw.split()))
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) == 1:
             vid(parts[0])
         elif len(parts) == 2:

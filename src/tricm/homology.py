@@ -18,8 +18,9 @@ import numpy as np
 
 from .complexes import SimplicialComplex, component_count
 
-# primes used for the characteristic-zero rank certificate
-_CERT_PRIMES = (1000003, 2147483647)
+# prime of the characteristic-zero certificates (Betti tables and h.s.o.p.
+# regularity): mod-p ranks only underestimate rational ones
+CERT_PRIME = 1000003
 
 
 def _is_prime(p: int) -> bool:
@@ -279,8 +280,7 @@ def reduced_betti_table(c: SimplicialComplex, field: FieldSpec) -> BettiTable:
         return BettiTable(field, _betti_from_ranks(counts, ranks))
 
     # characteristic 0: try the mod-p certificate first
-    p = _CERT_PRIMES[0]
-    fp = FieldSpec(p)
+    fp = FieldSpec(CERT_PRIME)
     modp = [0] + [rank(matrices[i], fp) for i in range(0, d + 2)]
     betti_p = _betti_from_ranks(counts, modp)
     certified = [False] * (d + 3)  # certified[j]: rank of d_{j-1} exact

@@ -22,11 +22,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import complexes, graphs
+from . import complexes, graphs, homology
 from .graphs import Graph
-from .homology import FieldSpec, _rank_dense_mod_p, _rank_sparse_exact
+from .homology import CERT_PRIME, FieldSpec, SparseMatrix
 
 KIND_INDEPENDENT_SET_SUMS = "independent-set-sums"
 KIND_POWER_SUMS = "power-sums"
@@ -35,9 +33,6 @@ REGULAR = "REGULAR"
 NOT_REGULAR = "NOT_REGULAR"
 NOT_HSOP_WITHIN_CAP = "NOT_HSOP_WITHIN_CAP"
 CAP_REACHED = "CAP_REACHED"
-
-# primes for the characteristic-zero certificate route
-_CERT_PRIMES = (1000003, 1000033)
 
 # monomial: tuple of (variable index, exponent), sorted by variable
 Monomial = tuple[tuple[int, int], ...]
@@ -218,16 +213,11 @@ def verify_regular(
         raise ValueError(f"degree cap {cap} below expected polynomial degree {exp_deg}")
 
     if field.characteristic == 0 and not exact:
-        last = None
-        for p in _CERT_PRIMES:
-            v = _verify_over(g, seq, FieldSpec(p), expected, cap)
-            if v.status == REGULAR:
-                return RegularityVerdict(REGULAR, field, v.per_degree, None)
-            last = v
-        # primes do not certify a negative outcome over Q; fall back to
+        v = _verify_over(g, seq, FieldSpec(CERT_PRIME), expected, cap)
+        if v.status == REGULAR:
+            return RegularityVerdict(REGULAR, field, v.per_degree, None)
+        # a prime does not certify a negative outcome over Q; fall back to
         # exact rational elimination
-        v = _verify_over(g, seq, field, expected, cap)
-        return v
     return _verify_over(g, seq, field, expected, cap)
 
 
@@ -294,18 +284,8 @@ def _verify_over(g, seq, field, expected, cap) -> RegularityVerdict:
 
 
 def _rank01(entries, rows, cols, field: FieldSpec) -> int:
-    """Rank of a 0/1 incidence matrix given as (row, col) pairs."""
-    if not entries or rows == 0 or cols == 0:
-        return 0
-    if field.characteristic != 0:
-        a = np.zeros((rows, cols), dtype=np.int64)
-        for r, c in entries:
-            a[r, c] += 1
-        return _rank_dense_mod_p(a, field.characteristic)
-    rowdicts: list[dict[int, int]] = [dict() for _ in range(rows)]
-    for r, c in entries:
-        rowdicts[r][c] = rowdicts[r].get(c, 0) + 1
-    return _rank_sparse_exact(rowdicts)
+    """Rank of a 0/1 incidence matrix given as distinct (row, col) pairs."""
+    return homology.rank(SparseMatrix(rows, cols, tuple((r, c, 1) for r, c in entries)), field)
 
 
 def sigma_equals_form(g: Graph, k: int) -> bool:

@@ -154,6 +154,14 @@ class TestHsop:
         assert rc == cli.EXIT_INPUT
         assert "cap" in err
 
+    def test_empty_graph_is_input_error(self, capsys, tmp_path):
+        gpath = tmp_path / "empty.edges"
+        gpath.write_text("")
+        rc, out, err = run(capsys, ["hsop", "--graph", str(gpath), "--kind", "elementary"])
+        assert rc == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_verify_json(self, capsys, tmp_path):
         report_path = tmp_path / "r.json"
         rc, _, _ = run(
@@ -233,27 +241,69 @@ class TestErrorsAndExitCodes:
         assert "n >= 2" in err
 
 
+def _complex_file(tmp_path):
+    cpath = tmp_path / "c.cplx"
+    cpath.write_text(complexes.serialize(complexes.triangular_complex(5)))
+    return str(cpath)
+
+
+def _k22_file(tmp_path):
+    gpath = tmp_path / "g.edges"
+    gpath.write_text("a c\na d\nb c\nb d\n")
+    return str(gpath)
+
+
 class TestCache:
     def strip_timings(self, report):
         return {k: v for k, v in report.items() if k != "timings"}
 
-    def test_cache_transparent(self, capsys, tmp_path):
+    def run_twice(self, capsys, tmp_path, argv):
+        """Run argv twice on one cache; both runs' (exit code, stdout, report
+        without timings)."""
         cache = tmp_path / "cache"
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        argv = [
-            "classify", "--triangular", "7", "--char", "0", "--char", "3",
-            "--cache-dir", str(cache),
-        ]
-        rc, text_a, _ = run(capsys, argv + ["--json", str(out_a)])
-        assert rc == 0
-        assert len(list(cache.iterdir())) == 1
-        rc, text_b, _ = run(capsys, argv + ["--json", str(out_b)])
-        assert rc == 0
-        assert text_a == text_b  # human-readable output identical
-        a = self.strip_timings(load_json(out_a))
-        b = self.strip_timings(load_json(out_b))
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        argv = argv + ["--cache-dir", str(cache)]
+        results = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            rc, text, _ = run(capsys, argv + ["--json", str(out)])
+            results.append((rc, text, self.strip_timings(load_json(out))))
+            assert len(list(cache.iterdir())) == 1
+        return results
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "classify --triangular 7 --char 0 --char 3",
+            "vectors --triangular 9",
+            "hsop --triangular 5 --kind powersum --verify",
+            "homology --graph {k22} --char 2",
+            "homology --complex {d5}",
+        ],
+        ids=["classify", "vectors", "hsop", "homology-graph", "homology-complex"],
+    )
+    def test_cache_transparent(self, capsys, tmp_path, argv):
+        files = {"k22": _k22_file(tmp_path), "d5": _complex_file(tmp_path)}
+        miss, hit = self.run_twice(capsys, tmp_path, argv.format(**files).split())
+        assert miss[0] == 0
+        assert hit == miss  # exit code, text and report identical
+
+    def test_corrupt_cache_is_a_miss(self, capsys, tmp_path):
+        argv = ["vectors", "--triangular", "6"]
+        self.run_twice(capsys, tmp_path, argv)
+        (entry,) = (tmp_path / "cache").iterdir()
+        entry.write_text(entry.read_text()[:10])  # truncated JSON
+        miss, hit = self.run_twice(capsys, tmp_path, argv)
+        assert miss == hit
+        assert miss[1].startswith("f = (1,15,45,15)")
+        assert load_json(entry) == miss[2]  # rewritten by the miss
+
+    def test_source_change_changes_key(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        argv = ["vectors", "--triangular", "5", "--cache-dir", str(cache)]
+        run(capsys, argv)
+        monkeypatch.setattr(cli, "_source_digest", lambda: "other sources")
+        run(capsys, argv)
+        assert len(list(cache.iterdir())) == 2
 
     def test_cache_keys_distinguish_params(self, capsys, tmp_path):
         cache = tmp_path / "cache"

@@ -289,6 +289,10 @@ class TestSerialization:
     def test_void(self):
         assert deserialize(serialize(VOID)).is_void
 
+    def test_indented_comment(self):
+        c = deserialize("  # edge\ndim 1 vertices 2\n0\n1\n\t# the edge\n0 1\n")
+        assert c.faces_by_dim == (((0,), (1,)), ((0, 1),))
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             deserialize("vertices 3 dim 1\n")

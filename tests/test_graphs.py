@@ -258,6 +258,12 @@ class TestEdgeListFormat:
         assert g.labels == ("a", "b", "c", "d")
         assert g.edges == ((0, 1), (1, 2))
 
+    def test_parse_trailing_comment(self):
+        # a token starting with '#' ends the line; '#' inside a label does not
+        g = parse_edge_list("a b # note\nx#1 c\n  # indented\nd #\n")
+        assert g.labels == ("a", "b", "x#1", "c", "d")
+        assert g.edges == ((0, 1), (2, 3))
+
     def test_parse_errors(self):
         with pytest.raises(ValueError):
             parse_edge_list("a a\n")
