@@ -131,28 +131,35 @@ def _cache_key(input_desc: dict, g: graphs.Graph | None, args) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _cache_get(cachedir: str | None, key: str | None) -> dict | None:
-    """The cached report, or None on a miss; an unreadable or corrupt file
-    is a miss and gets overwritten."""
+def _cache_get(cachedir: str | None, key: str | None, input_desc: dict, result: str) -> dict | None:
+    """The cached report, or None on a miss.  An unreadable or corrupt
+    file is a miss and gets overwritten, and so is a body that is not a
+    report of this input holding the subcommand's result key."""
     if not cachedir:
         return None
     try:
         with open(os.path.join(cachedir, key + ".json")) as fh:
-            return json.load(fh)
+            body = json.load(fh)
     except (OSError, ValueError):
         return None
+    if not isinstance(body, dict) or body.get("input") != input_desc or result not in body:
+        return None
+    return body
 
 
 def _cache_put(cachedir: str | None, key: str | None, report: dict):
     if not cachedir:
         return
-    os.makedirs(cachedir, exist_ok=True)
     body = {k: v for k, v in report.items() if k != "timings"}
     path = os.path.join(cachedir, key + ".json")
     tmp = path + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(body, fh, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(cachedir, exist_ok=True)
+        with open(tmp, "w") as fh:
+            json.dump(body, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as e:
+        raise InputError(f"cannot write cache entry in {cachedir}: {e}")
 
 
 def dump_report(report: dict, args):
@@ -160,9 +167,12 @@ def dump_report(report: dict, args):
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if args.json == "-":
             sys.stdout.write(text)
-        else:
+            return
+        try:
             with open(args.json, "w") as fh:
                 fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write {args.json}: {e}")
 
 
 def _base_report(input_desc: dict, g: graphs.Graph) -> dict:
@@ -302,24 +312,24 @@ def _homology_text(args, report):
     ], EXIT_OK
 
 
-# subcommand -> (compute body, text lines and exit code)
+# subcommand -> (compute body, text lines and exit code, result key)
 _COMMANDS = {
-    "classify": (_classify, _classify_text),
-    "vectors": (_vectors, _vectors_text),
-    "hsop": (_hsop, _hsop_text),
-    "homology": (_homology, _homology_text),
+    "classify": (_classify, _classify_text, "verdicts"),
+    "vectors": (_vectors, _vectors_text, "f_vector"),
+    "hsop": (_hsop, _hsop_text, "hsop"),
+    "homology": (_homology, _homology_text, "betti"),
 }
 
 
 def run(args) -> int:
     """Load the input, then take the report from the cache or compute and
     cache it, print its text lines and dump it."""
-    compute, text = _COMMANDS[args.command]
+    compute, text, result = _COMMANDS[args.command]
     input_desc, g, c = _load_input(args)
     cachedir = _cache_dir(args)
     key = _cache_key(input_desc, g, args) if cachedir else None
     t0 = time.monotonic()
-    report = _cache_get(cachedir, key)
+    report = _cache_get(cachedir, key, input_desc, result)
     if report is None:
         report = _base_report(input_desc, g) if g is not None else {"input": input_desc}
         compute(args, input_desc, g, c, report)

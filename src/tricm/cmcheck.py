@@ -3,12 +3,14 @@ and the parity-reduced check specialized to triangular graphs.
 
 Check ordering follows cost: the h-vector screen needs no linear algebra,
 1-dimensional complexes reduce to connectivity, and only then is link
-homology computed, cheapest links first.
+homology computed, once for each distinct link that is not a cone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import complexes, graphs, homology
@@ -89,9 +91,24 @@ def classify_complex(c: SimplicialComplex, field: FieldSpec, name: str = "comple
 
 
 def _link_digest(link: SimplicialComplex) -> bytes:
-    reduced, _ = complexes.restrict_relabel(link)
-    payload = complexes.serialize(reduced).encode()
-    return hashlib.sha256(payload).digest()
+    """SHA-256 over the face masks of the link, relabelled
+    order-preservingly onto its occupied vertices: two links share a
+    digest iff they are equal up to that relabelling."""
+    bit = {v: 1 << i for i, (v,) in enumerate(link.faces_by_dim[0])}
+    width = (len(bit) + 7) // 8
+    payload = [len(bit).to_bytes(8, "little")]
+    payload += [sum(map(bit.__getitem__, g)).to_bytes(width, "little") for g in link.all_faces()]
+    return hashlib.sha256(b"".join(payload)).digest()
+
+
+def _is_cone(link: SimplicialComplex) -> bool:
+    """Whether some vertex v lies in exactly half of the faces (the empty
+    face counted).  Then g -> g ∪ {v} maps the faces without v onto those
+    with v, so the link is a cone with apex v: acyclic over Z, with every
+    reduced Betti number 0 over every field."""
+    faces = link.all_faces()
+    counts = Counter(itertools.chain.from_iterable(faces))
+    return any(2 * n == len(faces) for n in counts.values())
 
 
 def _betti_violation(table: homology.BettiTable, dim: int) -> tuple[int, int] | None:
@@ -130,6 +147,8 @@ def reisner_check(c: SimplicialComplex, field: FieldSpec, name: str = "complex")
         if digest in seen:
             continue
         seen.add(digest)
+        if _is_cone(lk):
+            continue
         table = homology.reduced_betti_table(lk, field)
         hit = _betti_violation(table, lk.dim)
         if hit is not None:

@@ -9,10 +9,10 @@ complex of the triangular graph T_n; D(n) is void for n < 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import graphs
-from .graphs import Graph, mask_to_set, set_to_mask
+from .graphs import Graph, set_to_mask
 
 
 @dataclass
@@ -20,6 +20,9 @@ class SimplicialComplex:
     vertex_count: int
     faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
     has_empty_face: bool = True
+    _faces_by_mask: dict[int, tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.faces_by_dim = tuple(
@@ -57,15 +60,19 @@ class SimplicialComplex:
             out.extend(level)
         return out
 
-    def face_masks(self) -> set[int]:
-        return {set_to_mask(f) for f in self.all_faces()}
+    def face_masks(self) -> dict[int, tuple[int, ...]]:
+        """Every face keyed by its bit mask, in all_faces() order; built on
+        first use and kept."""
+        if self._faces_by_mask is None:
+            self._faces_by_mask = {set_to_mask(f): f for f in self.all_faces()}
+        return self._faces_by_mask
 
     def has_face(self, f) -> bool:
-        f = tuple(sorted(f))
-        if not f:
-            return self.has_empty_face
-        d = len(f) - 1
-        return d < len(self.faces_by_dim) and f in set(self.faces_by_dim[d])
+        f = tuple(f)
+        vertices = set(f)
+        if len(vertices) != len(f) or min(vertices, default=0) < 0:
+            return False
+        return set_to_mask(vertices) in self.face_masks()
 
 
 VOID = SimplicialComplex(0, (), has_empty_face=False)
@@ -193,18 +200,22 @@ def triangular_f_closed(n: int) -> FVector:
 
 
 def link(c: SimplicialComplex, f) -> SimplicialComplex:
-    """Link of the face f: all H with H ∩ f = ∅ and H ∪ f ∈ c."""
-    f = tuple(sorted(f))
+    """Link of the face f: all H with H ∩ f = ∅ and H ∪ f ∈ c.
+
+    One pass over the face masks of c: each face containing f, minus f.
+    Since c is closed, that is a face of c and the link is closed; removing
+    a common subset keeps the lexicographic order within a dimension, so
+    the faces come out sorted.
+    """
     if not c.has_face(f):
-        raise ValueError(f"{f} is not a face of the complex")
-    fmask = set_to_mask(f)
-    masks = c.face_masks()
-    faces = []
-    for g in c.all_faces():
-        gmask = set_to_mask(g)
-        if gmask & fmask == 0 and (gmask | fmask) in masks:
-            faces.append(g)
-    return from_faces(c.vertex_count, faces)
+        raise ValueError(f"{tuple(sorted(f))} is not a face of the complex")
+    fm = set_to_mask(f)
+    index = c.face_masks()
+    faces = [index[h ^ fm] for h in index if h & fm == fm]
+    levels = [[] for _ in faces[-1]]
+    for g in faces[1:]:
+        levels[len(g) - 1].append(g)
+    return SimplicialComplex(c.vertex_count, tuple(map(tuple, levels)))
 
 
 def restrict_relabel(c: SimplicialComplex) -> tuple[SimplicialComplex, dict[int, int]]:

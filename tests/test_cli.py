@@ -240,6 +240,19 @@ class TestErrorsAndExitCodes:
         assert rc == cli.EXIT_INPUT
         assert "n >= 2" in err
 
+    def test_cache_dir_is_a_file(self, capsys, tmp_path):
+        path = tmp_path / "plain"
+        path.write_text("")
+        rc, _, err = run(capsys, ["vectors", "--triangular", "4", "--cache-dir", str(path)])
+        assert rc == cli.EXIT_INPUT
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_json_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "no" / "such" / "report.json"
+        rc, _, err = run(capsys, ["vectors", "--triangular", "4", "--json", str(path)])
+        assert rc == cli.EXIT_INPUT
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 def _complex_file(tmp_path):
     cpath = tmp_path / "c.cplx"
@@ -296,6 +309,21 @@ class TestCache:
         assert miss == hit
         assert miss[1].startswith("f = (1,15,45,15)")
         assert load_json(entry) == miss[2]  # rewritten by the miss
+
+    @pytest.mark.parametrize(
+        "body",
+        ["[]", "{}", '"x"', "3", '{"input": {"kind": "triangular", "n": 5}, "f_vector": []}',
+         '{"input": {"kind": "triangular", "n": 6}}'],
+        ids=["list", "empty-dict", "string", "number", "other-input", "no-result"],
+    )
+    def test_non_report_cache_is_a_miss(self, capsys, tmp_path, body):
+        argv = ["vectors", "--triangular", "6"]
+        expected, _ = self.run_twice(capsys, tmp_path, argv)
+        (entry,) = (tmp_path / "cache").iterdir()
+        entry.write_text(body)
+        miss, hit = self.run_twice(capsys, tmp_path, argv)
+        assert miss == hit == expected
+        assert load_json(entry) == expected[2]  # rewritten by the miss
 
     def test_source_change_changes_key(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

@@ -1,11 +1,15 @@
+import itertools
+import random
+
 import pytest
 
-from tricm import cmcheck, complexes, graphs
+from tricm import cmcheck, complexes, graphs, homology
 from tricm.cmcheck import (
     CM,
     NOT_CM,
     CmVerdict,
     Witness,
+    classify_complex,
     classify_triangular,
     h_screen,
     krull_dimension,
@@ -16,6 +20,28 @@ from tricm.complexes import from_faces, triangular_complex
 from tricm.homology import QQ, FieldSpec
 
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
+
+
+def naive_reisner(c, field, name="complex"):
+    """Oracle: (status, witnesses) of Reisner's criterion, with every link
+    built from its definition and its Betti table computed, in
+    all_faces() order, without deduplication or cone shortcuts."""
+    faces = c.all_faces()
+    face_sets = {frozenset(h) for h in faces}
+    for f in faces:
+        lk = [g for g in faces if not set(f) & set(g) and frozenset(f + g) in face_sets]
+        lk = from_faces(c.vertex_count, lk)
+        dims = homology.reduced_betti_table(lk, field).dims
+        for i, b in enumerate(dims[: lk.dim + 1], start=-1):
+            if b:
+                return NOT_CM, (Witness(f"lk({name}, {f})", "homology", i, b),)
+    return CM, ()
+
+
+def random_graph(rng):
+    n = rng.randint(5, 8)
+    pairs = list(itertools.combinations(range(n), 2))
+    return graphs.Graph(n, tuple(p for p in pairs if rng.random() < 0.35))
 
 
 class TestVerdictType:
@@ -84,6 +110,44 @@ class TestReisnerCheck:
     def test_void_rejected(self):
         with pytest.raises(ValueError):
             reisner_check(complexes.VOID, QQ)
+
+    def test_cone_over_disjoint_edges(self):
+        # the whole complex is a cone with apex 4, its apex link is not
+        c = from_faces(5, [(0, 1, 4), (2, 3, 4)], close=True)
+        v = reisner_check(c, QQ)
+        assert v.status == NOT_CM
+        assert v.witnesses == (Witness("lk(complex, (4,))", "homology", 0, 1),)
+
+    def test_seven_face_link_is_not_a_cone(self):
+        # lk((4,)) is the path 0-1-2 plus the vertex 3: 7 faces, vertex 1
+        # in 3 = 7 // 2 of them, and no cone
+        c = from_faces(5, [(0, 1, 4), (1, 2, 4), (3, 4)], close=True)
+        v = reisner_check(c, QQ)
+        assert v.witnesses == (Witness("lk(complex, (4,))", "homology", 0, 1),)
+
+    def test_links_with_equal_f_vectors_are_not_merged(self):
+        # lk((0,)) is the path 1-4-5-3 and lk((5,)) the cycle 0-3-4 plus the
+        # vertex 2: both have f = (1, 4, 3), only the second is disconnected
+        c = from_faces(6, [(0, 1, 4), (0, 3, 5), (0, 4, 5), (2, 5), (3, 4, 5)], close=True)
+        v = reisner_check(c, QQ)
+        assert v.witnesses == (Witness("lk(complex, (5,))", "homology", 0, 1),)
+
+    def test_first_link_that_is_not_a_cone(self):
+        # every link of positive dimension before lk((4, 5)) is a cone;
+        # lk((4, 5)) is not, and it has two components
+        g = graphs.Graph(7, ((0, 1), (0, 2), (0, 3), (0, 6), (1, 6), (2, 3)))
+        v = classify_complex(complexes.independence_complex(g), QQ, name="delta_G")
+        assert v.status == NOT_CM
+        assert v.witnesses == (Witness("lk(delta_G, (4, 5))", "homology", 0, 1),)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_naive_check(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            c = complexes.independence_complex(random_graph(rng))
+            for field in (QQ, F2):
+                v = reisner_check(c, field, name="delta_G")
+                assert (v.status, v.witnesses) == naive_reisner(c, field, name="delta_G")
 
 
 class TestReisnerTriangular:

@@ -55,6 +55,22 @@ def brute_matching_counts(n):
     return out
 
 
+def brute_link(c, f):
+    """Oracle: the link by its definition, an O(F^2) loop over pairs of
+    faces; faces in all_faces() order."""
+    f = set(f)
+    faces = c.all_faces()
+    return [g for g in faces if not f & set(g) and any(set(h) == f | set(g) for h in faces)]
+
+
+# the boundary of a tetrahedron plus a pendant edge: not a flag complex
+TETRA_BOUNDARY_PLUS_EDGE = from_faces(
+    5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4)], close=True
+)
+# a triangle, an edge on one of its vertices and an isolated vertex
+NON_PURE = from_faces(5, [(0, 1, 2), (2, 3), (4,)], close=True)
+
+
 class TestComplexType:
     def test_void_vs_empty(self):
         assert VOID.is_void
@@ -62,6 +78,12 @@ class TestComplexType:
         assert complexes.EMPTY_ONLY.dim == -1
         with pytest.raises(ValueError):
             VOID.dim
+
+    def test_face_masks_built_on_first_use(self):
+        c = triangular_complex(6)
+        assert c._faces_by_mask is None
+        assert list(c.face_masks().values()) == c.all_faces()
+        assert c.face_masks() is c.face_masks()
 
     def test_closure_validation(self):
         with pytest.raises(ValueError):
@@ -76,6 +98,8 @@ class TestComplexType:
         assert c.has_face(())
         assert c.has_face((1, 0))
         assert not c.has_face((2,))
+        assert not c.has_face((0, 0))
+        assert not c.has_face((-1,))
 
 
 class TestIndependenceComplex:
@@ -196,10 +220,33 @@ class TestLink:
         with pytest.raises(ValueError):
             link(c, (0, 1))  # (12) and (13) intersect
 
+    @pytest.mark.parametrize("f", [(0, 0), (1, 1)])
+    def test_repeated_vertex_rejected(self, f):
+        with pytest.raises(ValueError):
+            link(triangular_complex(4), f)
+
+    def test_void_rejected(self):
+        with pytest.raises(ValueError):
+            link(VOID, ())
+
     def test_link_is_closed(self):
         c = triangular_complex(6)
         for f in c.all_faces():
-            link(c, f)  # from_faces re-validates closure
+            faces = set(link(c, f).all_faces())
+            for g in faces:
+                for k in range(len(g)):
+                    assert g[:k] + g[k + 1 :] in faces
+
+    @pytest.mark.parametrize(
+        "c",
+        [triangular_complex(6), TETRA_BOUNDARY_PLUS_EDGE, NON_PURE, complexes.EMPTY_ONLY],
+        ids=["D(6)", "non-flag", "non-pure", "empty-face-only"],
+    )
+    def test_matches_definition(self, c):
+        for f in c.all_faces():
+            lk = link(c, f)
+            assert lk.vertex_count == c.vertex_count
+            assert lk.all_faces() == brute_link(c, f)
 
 
 class TestLinkWitness:
