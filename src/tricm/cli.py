@@ -154,7 +154,6 @@ def _cache_put(cachedir: str | None, key: str | None, report: dict):
     path = os.path.join(cachedir, key + ".json")
     tmp = path + f".tmp.{os.getpid()}"
     try:
-        os.makedirs(cachedir, exist_ok=True)
         with open(tmp, "w") as fh:
             json.dump(body, fh, sort_keys=True)
         os.replace(tmp, path)
@@ -327,7 +326,13 @@ def run(args) -> int:
     compute, text, result = _COMMANDS[args.command]
     input_desc, g, c = _load_input(args)
     cachedir = _cache_dir(args)
-    key = _cache_key(input_desc, g, args) if cachedir else None
+    key = None
+    if cachedir:
+        try:
+            os.makedirs(cachedir, exist_ok=True)
+        except OSError as e:
+            raise InputError(f"cannot create cache directory {cachedir}: {e}")
+        key = _cache_key(input_desc, g, args)
     t0 = time.monotonic()
     report = _cache_get(cachedir, key, input_desc, result)
     if report is None:

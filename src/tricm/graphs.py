@@ -113,29 +113,6 @@ def triangular(n: int) -> Graph:
     return Graph(len(pairs), tuple(edges), labels)
 
 
-def triangular_recursive(n: int) -> Graph:
-    """T_n built recursively: T_{n-1} plus a clique on (1 n)..(n-1 n),
-    joining each old vertex (i j) to (i n) and (j n)."""
-    if n < 2:
-        raise ValueError("triangular graph requires n >= 2")
-    # work with label pairs, re-rank at the end
-    edge_pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for m in range(3, n + 1):
-        new = [(i, m) for i in range(1, m)]
-        for a in range(len(new)):
-            for b in range(a + 1, len(new)):
-                edge_pairs.add((new[a], new[b]))
-        for i, j in itertools.combinations(range(1, m), 2):
-            edge_pairs.add(((i, j), (i, m)))
-            edge_pairs.add(((i, j), (j, m)))
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    labels = tuple(pair_label(i, j) for i, j in pairs)
-    edges = tuple(
-        (pair_rank(*p, n), pair_rank(*q, n)) for p, q in edge_pairs
-    )
-    return Graph(len(pairs), edges, labels)
-
-
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph requires N >= 1")

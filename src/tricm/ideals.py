@@ -9,6 +9,15 @@ h(t) * prod_k (1 + t + ... + t^{deg theta_k - 1}) degree by degree, down
 to a zero graded piece.  This is a complete decision procedure: a standard
 graded algebra with one zero graded piece vanishes above it.
 
+Inside the verifier a monomial is its dense exponent vector packed into
+one integer: variable v owns a field of w bits, variable 0 the most
+significant, and 2^w exceeds the degree cap.  Monomials of degree at most
+the cap then multiply by integer addition without carries, and integer
+order is lexicographic order on exponent vectors.  A product of degree
+delta survives in R/I(G) iff its support is independent, which is to say
+iff it is one of the degree-delta basis monomials; so one dictionary
+lookup both decides survival and gives the product's row.
+
 In characteristic zero the default route certifies through a large prime:
 ranks mod p only underestimate rational ranks while actual graded
 dimensions never drop below the expected ones, so a REGULAR verdict mod p
@@ -18,6 +27,7 @@ exact=True.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -128,59 +138,22 @@ def expected_artinian_hilbert(h: complexes.HVector, degrees) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _monomial_mask(m: Monomial) -> int:
-    mask = 0
-    for v, _ in m:
-        mask |= 1 << v
-    return mask
+def _basis(ind_sets, unit, degree: int) -> dict[int, int]:
+    """The packed monomials of the given degree whose support is an
+    independent set, in increasing order, each mapped to its position.
 
-
-def _independent_support_monomials(g: Graph, degree: int, ind_sets) -> list[Monomial]:
-    """Monomials of the given degree whose support is independent, ordered
-    lexicographically on their dense exponent lists."""
-    if degree == 0:
-        return [()]
+    A monomial with support s is the product of s with a multiset of
+    degree - |s| further variables from s."""
     out = []
     for s in ind_sets:
-        k = len(s)
-        if k == 0 or k > degree:
-            continue
-        # compositions of `degree` into k positive parts
-        for cuts in itertools.combinations(range(1, degree), k - 1):
-            parts = []
-            prev = 0
-            for c in cuts:
-                parts.append(c - prev)
-                prev = c
-            parts.append(degree - prev)
-            out.append(tuple(zip(s, parts)))
-
-    def dense(m: Monomial) -> tuple[int, ...]:
-        e = [0] * g.vertex_count
-        for v, p in m:
-            e[v] = p
-        return tuple(e)
-
-    out.sort(key=dense)
-    return out
-
-
-def _multiply(m: Monomial, t: Monomial) -> Monomial:
-    e: dict[int, int] = dict(m)
-    for v, p in t:
-        e[v] = e.get(v, 0) + p
-    return tuple(sorted(e.items()))
-
-
-def _support_independent(mask: int, masks) -> bool:
-    rest = mask
-    v = 0
-    while rest:
-        if rest & 1 and masks[v] & mask:
-            return False
-        rest >>= 1
-        v += 1
-    return True
+        if len(s) <= degree:
+            units = [unit[v] for v in s]
+            base = sum(units)
+            out.extend(
+                base + sum(extra)
+                for extra in itertools.combinations_with_replacement(units, degree - len(s))
+            )
+    return {m: i for i, m in enumerate(sorted(out))}
 
 
 def verify_regular(
@@ -198,11 +171,17 @@ def verify_regular(
     Hilbert function.  REGULAR requires agreement through the first degree
     where both vanish.
     """
-    if seq.variable_count != g.vertex_count:
+    n = g.vertex_count
+    if seq.variable_count != n:
         raise ValueError("variable count of the sequence does not match the graph")
+    # an empty form is the zero polynomial, of its nominal degree
     form_degrees = tuple(
         sum(p for _, p in f[0]) if f else k + 1 for k, f in enumerate(seq.forms)
     )
+    for k, (f, fdeg) in enumerate(zip(seq.forms, form_degrees), 1):
+        for t in f:
+            if sum(p for _, p in t) != fdeg or any(p < 1 or not 0 <= v < n for v, p in t):
+                raise ValueError(f"form {k} is not homogeneous in the graph's variables")
     h = complexes.h_vector(complexes.f_vector(complexes.independence_complex(g)))
     expected = expected_artinian_hilbert(h, form_degrees)
     exp_deg = len(expected) - 1
@@ -212,47 +191,43 @@ def verify_regular(
     if cap < exp_deg + 1:
         raise ValueError(f"degree cap {cap} below expected polynomial degree {exp_deg}")
 
+    # exponent of variable v in bits [w(n-1-v), w(n-v)): exponents stay
+    # below 2^w up to the cap, so packed monomials multiply by addition
+    w = max(cap, 1).bit_length()
+    unit = [1 << w * (n - 1 - v) for v in range(n)]
+    forms = [
+        (fdeg, [sum(p * unit[v] for v, p in t) for t in f])
+        for f, fdeg in zip(seq.forms, form_degrees)
+    ]
+    ind_sets = graphs.independent_sets(g)
+    basis = functools.cache(lambda d: _basis(ind_sets, unit, d))
     if field.characteristic == 0 and not exact:
-        v = _verify_over(g, seq, FieldSpec(CERT_PRIME), expected, cap)
+        v = _verify_over(FieldSpec(CERT_PRIME), forms, basis, expected, cap)
         if v.status == REGULAR:
             return RegularityVerdict(REGULAR, field, v.per_degree, None)
         # a prime does not certify a negative outcome over Q; fall back to
         # exact rational elimination
-    return _verify_over(g, seq, field, expected, cap)
+    return _verify_over(field, forms, basis, expected, cap)
 
 
-def _verify_over(g, seq, field, expected, cap) -> RegularityVerdict:
-    masks = g.neighbor_masks
-    ind_sets = graphs.independent_sets(g)
-    bases = {0: [()]}
-
-    def basis(d: int) -> list[Monomial]:
-        if d not in bases:
-            bases[d] = _independent_support_monomials(g, d, ind_sets)
-        return bases[d]
-
+def _verify_over(field, forms, basis, expected, cap) -> RegularityVerdict:
     per_degree = []
     first_mismatch = None
     for delta in range(cap + 1):
         e = expected[delta] if delta < len(expected) else 0
-        b = basis(delta)
-        index = {m: i for i, m in enumerate(b)}
-        entries = []  # (row, col)
+        index = basis(delta)
+        entries = []  # (row, col, 1)
         col = 0
-        for form in seq.forms:
-            fdeg = sum(p for _, p in form[0])
+        for fdeg, terms in forms:
             if fdeg > delta:
                 continue
             for m in basis(delta - fdeg):
-                mmask = _monomial_mask(m)
-                for t in form:
-                    prod_mask = mmask | _monomial_mask(t)
-                    if not _support_independent(prod_mask, masks):
-                        continue  # lands in the edge ideal, drops to zero
-                    entries.append((index[_multiply(m, t)], col))
+                for t in terms:
+                    row = index.get(m + t)
+                    if row is not None:  # else m*t lies in the edge ideal
+                        entries.append((row, col, 1))
                 col += 1
-        r = _rank01(entries, len(b), col, field)
-        actual = len(b) - r
+        actual = len(index) - _rank01(entries, len(index), col, field)
         per_degree.append((delta, e, actual))
         if e >= 0 and actual < e:
             raise AssertionError(
@@ -284,73 +259,5 @@ def _verify_over(g, seq, field, expected, cap) -> RegularityVerdict:
 
 
 def _rank01(entries, rows, cols, field: FieldSpec) -> int:
-    """Rank of a 0/1 incidence matrix given as distinct (row, col) pairs."""
-    return homology.rank(SparseMatrix(rows, cols, tuple((r, c, 1) for r, c in entries)), field)
-
-
-def sigma_equals_form(g: Graph, k: int) -> bool:
-    """Check that the k-th elementary symmetric polynomial equals the
-    degree-k independent-set sum modulo the edge ideal: every discarded
-    squarefree monomial must be divisible by an edge generator."""
-    masks = g.neighbor_masks
-    for s in itertools.combinations(range(g.vertex_count), k):
-        mask = graphs.set_to_mask(s)
-        if _support_independent(mask, masks):
-            continue
-        if not any(
-            (mask >> u & 1) and (mask >> v & 1) for u, v in g.edges
-        ):
-            return False
-    return True
-
-
-def telescoping_check(m: int) -> bool:
-    """Verify z_i^m = z_i^{m-1} s_1 - z_i^{m-2} s_2 + ... + (-1)^{m+1} s_m
-    as an exact polynomial identity in m variables, for every i, where s_k
-    is the k-th elementary symmetric polynomial."""
-    if not (1 <= m <= 8):
-        raise ValueError("m must be in 1..8")
-
-    def poly_add(p, q, c=1):
-        out = dict(p)
-        for mono, coeff in q.items():
-            out[mono] = out.get(mono, 0) + c * coeff
-            if out[mono] == 0:
-                del out[mono]
-        return out
-
-    def poly_mul(p, q):
-        out: dict[tuple[int, ...], int] = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                mono = tuple(a + b for a, b in zip(m1, m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-                if out[mono] == 0:
-                    del out[mono]
-        return out
-
-    def var(i, power=1):
-        e = [0] * m
-        e[i] = power
-        return {tuple(e): 1}
-
-    def sigma(k):
-        out: dict[tuple[int, ...], int] = {}
-        for s in itertools.combinations(range(m), k):
-            e = [0] * m
-            for v in s:
-                e[v] = 1
-            out[tuple(e)] = 1
-        return out
-
-    for i in range(m):
-        lhs = var(i, m)
-        rhs: dict[tuple[int, ...], int] = {}
-        for k in range(1, m + 1):
-            term = sigma(k)
-            if m - k > 0:
-                term = poly_mul(var(i, m - k), term)
-            rhs = poly_add(rhs, term, (-1) ** (k + 1))
-        if lhs != rhs:
-            return False
-    return True
+    """Rank of a 0/1 incidence matrix given as (row, col, 1) triples."""
+    return homology.rank(SparseMatrix(rows, cols, tuple(entries)), field)

@@ -24,6 +24,8 @@ from tricm import cli, cmcheck, complexes, graphs, homology, ideals
 from tricm.complexes import triangular_complex, triangular_f_closed
 from tricm.homology import QQ, FieldSpec
 
+from test_ideals import telescoping_check
+
 
 class Criterion:
     """Context manager that prints the PASS/FAIL line and enforces the
@@ -297,4 +299,4 @@ def test_criterion_8_property_suites():
 
         # (i) telescoping identity for m <= 6
         for m in range(1, 7):
-            assert ideals.telescoping_check(m)
+            assert telescoping_check(m)

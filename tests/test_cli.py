@@ -240,9 +240,14 @@ class TestErrorsAndExitCodes:
         assert rc == cli.EXIT_INPUT
         assert "n >= 2" in err
 
-    def test_cache_dir_is_a_file(self, capsys, tmp_path):
+    def test_cache_dir_is_a_file(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "plain"
         path.write_text("")
+
+        def compute(*args, **kwargs):
+            raise AssertionError("an unusable cache directory must stop the run before computing")
+
+        monkeypatch.setattr(complexes, "independence_complex", compute)
         rc, _, err = run(capsys, ["vectors", "--triangular", "4", "--cache-dir", str(path)])
         assert rc == cli.EXIT_INPUT
         assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -1,12 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 
-from tricm import complexes, graphs, ideals
+from tricm import complexes, graphs, homology, ideals
 from tricm.complexes import HVector
-from tricm.graphs import complete, triangular
-from tricm.homology import QQ, FieldSpec
+from tricm.graphs import Graph, complete, triangular
+from tricm.homology import QQ, FieldSpec, SparseMatrix
 from tricm.ideals import (
     CAP_REACHED,
     KIND_INDEPENDENT_SET_SUMS,
@@ -14,12 +15,11 @@ from tricm.ideals import (
     NOT_HSOP_WITHIN_CAP,
     NOT_REGULAR,
     REGULAR,
+    HsopSequence,
     edge_ideal,
     expected_artinian_hilbert,
     hilbert_function,
     hsop,
-    sigma_equals_form,
-    telescoping_check,
     verify_regular,
 )
 
@@ -29,19 +29,127 @@ F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
 def brute_hilbert(g, d):
     """Oracle: enumerate all degree-d monomials in n variables and keep
     those whose support is an independent set."""
+    return sum(
+        1
+        for e in dense_monomials(g.vertex_count, d)
+        if not any(e[u] and e[v] for u, v in g.edges)
+    )
+
+
+def dense_monomials(n, d):
+    """All exponent tuples of degree d in n variables (none if d < 0)."""
+    if d < 0 or n == 0:
+        return [()] if d == 0 else []
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, d + n - 1)))
+        for bars in itertools.combinations(range(d + n - 1), n - 1)
+    ]
+
+
+def naive_graded_dims(g, seq, field, degrees):
+    """Oracle: dim_K of R/(I(G) + seq) in each degree, from dense exponent
+    tuples, supports checked against the edge list, rank by homology.rank."""
     n = g.vertex_count
-    count = 0
-    for bars in itertools.combinations(range(d + n - 1), n - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + n - 2 - prev)
-        support = {v for v, e in enumerate(exps) if e}
-        if not any(u in support and v in support for u, v in g.edges):
-            count += 1
-    return count
+
+    def survives(e):
+        return not any(e[u] and e[v] for u, v in g.edges)
+
+    forms = []
+    for form in seq.forms:
+        terms = []
+        for mono in form:
+            e = [0] * n
+            for v, p in mono:
+                e[v] += p
+            terms.append(tuple(e))
+        forms.append(terms)
+    dims = []
+    for delta in degrees:
+        rows = {m: i for i, m in enumerate(m for m in dense_monomials(n, delta) if survives(m))}
+        entries, col = [], 0
+        for k, terms in enumerate(forms):
+            # form k + 1 has degree k + 1
+            for m in dense_monomials(n, delta - (k + 1)):
+                if not survives(m):
+                    continue
+                for t in terms:
+                    prod = tuple(a + b for a, b in zip(m, t))
+                    if survives(prod):
+                        entries.append((rows[prod], col, 1))
+                col += 1
+        dims.append(len(rows) - homology.rank(SparseMatrix(len(rows), col, tuple(entries)), field))
+    return dims
+
+
+def random_graph(rng):
+    n = rng.randint(1, 5)
+    edges = tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4)
+    return Graph(n, edges)
+
+
+def sigma_equals_form(g, k: int) -> bool:
+    """Check that the k-th elementary symmetric polynomial equals the
+    degree-k independent-set sum modulo the edge ideal: every discarded
+    squarefree monomial must be divisible by an edge generator."""
+    kept = {s for s in graphs.independent_sets(g) if len(s) == k}
+    for s in itertools.combinations(range(g.vertex_count), k):
+        if s in kept:
+            continue
+        if not any(u in s and v in s for u, v in g.edges):
+            return False
+    return True
+
+
+def telescoping_check(m: int) -> bool:
+    """Verify z_i^m = z_i^{m-1} s_1 - z_i^{m-2} s_2 + ... + (-1)^{m+1} s_m
+    as an exact polynomial identity in m variables, for every i, where s_k
+    is the k-th elementary symmetric polynomial."""
+    if not (1 <= m <= 8):
+        raise ValueError("m must be in 1..8")
+
+    def poly_add(p, q, c=1):
+        out = dict(p)
+        for mono, coeff in q.items():
+            out[mono] = out.get(mono, 0) + c * coeff
+            if out[mono] == 0:
+                del out[mono]
+        return out
+
+    def poly_mul(p, q):
+        out: dict[tuple[int, ...], int] = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                mono = tuple(a + b for a, b in zip(m1, m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+                if out[mono] == 0:
+                    del out[mono]
+        return out
+
+    def var(i, power=1):
+        e = [0] * m
+        e[i] = power
+        return {tuple(e): 1}
+
+    def sigma(k):
+        out: dict[tuple[int, ...], int] = {}
+        for s in itertools.combinations(range(m), k):
+            e = [0] * m
+            for v in s:
+                e[v] = 1
+            out[tuple(e)] = 1
+        return out
+
+    for i in range(m):
+        lhs = var(i, m)
+        rhs: dict[tuple[int, ...], int] = {}
+        for k in range(1, m + 1):
+            term = sigma(k)
+            if m - k > 0:
+                term = poly_mul(var(i, m - k), term)
+            rhs = poly_add(rhs, term, (-1) ** (k + 1))
+        if lhs != rhs:
+            return False
+    return True
 
 
 class TestEdgeIdeal:
@@ -204,6 +312,49 @@ class TestVerifyRegular:
         for _, e, a in v.per_degree:
             if e >= 0:
                 assert a >= e
+
+
+    def test_empty_form_is_zero(self):
+        # x + y and the zero polynomial: K[x, y]/(x + y) never vanishes
+        g = Graph(2, ())
+        seq = HsopSequence("custom", 2, ((((0, 1),), ((1, 1),)), ()))
+        v = verify_regular(g, seq, F3)
+        assert v.status == NOT_HSOP_WITHIN_CAP
+        assert v.failing_degree == 2
+
+    def test_wide_exponents_do_not_carry(self):
+        # over F_2, x^2 + y^2 = (x + y)^2, so the quotient is K[y]: one
+        # monomial y^40 in degree 40 needs a six-bit exponent field
+        g = Graph(2, ())
+        v = verify_regular(g, hsop(g, KIND_POWER_SUMS), F2, degree_cap=40)
+        assert v.status == NOT_HSOP_WITHIN_CAP
+        assert v.failing_degree == 2
+        assert len(v.per_degree) == 41
+        assert all(a == 1 for _, _, a in v.per_degree)
+        # two variables cannot collide under any width (degree is fixed);
+        # three can: R/(0) = K[x, y, z] keeps all C(d + 2, 2) monomials
+        g = Graph(3, ())
+        v = verify_regular(g, HsopSequence("custom", 3, ((),)), F2, degree_cap=40)
+        assert v.status == NOT_HSOP_WITHIN_CAP
+        assert v.failing_degree == 1
+        assert [a for _, _, a in v.per_degree] == [math.comb(d + 2, 2) for d in range(41)]
+
+    def test_inhomogeneous_form_rejected(self):
+        g = Graph(2, ())
+        seq = HsopSequence("custom", 2, ((((0, 1),), ((1, 2),)), (((0, 2),),)))
+        with pytest.raises(ValueError):
+            verify_regular(g, seq, F3)
+
+    @pytest.mark.parametrize("kind", [KIND_INDEPENDENT_SET_SUMS, KIND_POWER_SUMS])
+    @pytest.mark.parametrize("char", [0, 2, 3, 7])
+    def test_matches_naive_assembler(self, kind, char):
+        rng = random.Random(1)
+        field = FieldSpec(char)
+        for g in [triangular(4), triangular(5)] + [random_graph(rng) for _ in range(40)]:
+            seq = hsop(g, kind)
+            v = verify_regular(g, seq, field)
+            degrees = [d for d, _, _ in v.per_degree]
+            assert [a for _, _, a in v.per_degree] == naive_graded_dims(g, seq, field, degrees)
 
 
 class TestSigmaEqualsForm:
