@@ -7,7 +7,7 @@ $TRICM_CACHE_DIR); cache keys are digests over the package sources, the
 normalized edge list, the operation and its parameters, so hits are
 bit-identical to a rerun.
 
-Exit codes: 0 completed, 2 usage error, 3 input error, 4 resource cap.
+Exit codes: 0 completed, 2 usage error, 3 input error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .homology import FieldSpec
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
-EXIT_CAP = 4
 
 
 class InputError(Exception):
@@ -209,7 +208,7 @@ def _classify_text(args, report):
         lines.append(f"char {v['char']}: {v['status']} (method: {v['method']})")
         for w in v["witnesses"]:
             lines.append(f"  witness: {w['complex']} {w['kind']} index {w['index']} value {w['value']}")
-    return lines, EXIT_OK
+    return lines
 
 
 def _vectors(args, input_desc, g, c, report):
@@ -230,7 +229,7 @@ def _vectors_text(args, report):
     return [
         "f = (" + ",".join(report["f_vector"]) + ")",
         "h = (" + ",".join(report["h_vector"]) + ")",
-    ], EXIT_OK
+    ]
 
 
 _KIND_MAP = {
@@ -288,11 +287,9 @@ def _hsop(args, input_desc, g, c, report):
 
 def _hsop_text(args, report):
     lines = [f"F_{k} = {form['rendered']}" for k, form in enumerate(report["hsop"]["forms"], 1)]
-    if "verify" not in report["hsop"]:
-        return lines, EXIT_OK
-    status = report["hsop"]["verify"]["status"]
-    lines.append(f"regularity over char {args.char}: {status}")
-    return lines, EXIT_CAP if status == ideals.CAP_REACHED else EXIT_OK
+    if "verify" in report["hsop"]:
+        lines.append(f"regularity over char {args.char}: {report['hsop']['verify']['status']}")
+    return lines
 
 
 def _homology(args, input_desc, g, c, report):
@@ -308,10 +305,10 @@ def _homology_text(args, report):
     return [
         f"char {entry['char']}: reduced Betti dims (i = -1..dim) = ({','.join(entry['dims'])})"
         for entry in report["betti"]
-    ], EXIT_OK
+    ]
 
 
-# subcommand -> (compute body, text lines and exit code, result key)
+# subcommand -> (compute body, text lines, result key)
 _COMMANDS = {
     "classify": (_classify, _classify_text, "verdicts"),
     "vectors": (_vectors, _vectors_text, "f_vector"),
@@ -340,11 +337,10 @@ def run(args) -> int:
         compute(args, input_desc, g, c, report)
         _cache_put(cachedir, key, report)
     report["timings"] = {"total_ms": round((time.monotonic() - t0) * 1000, 3)}
-    lines, rc = text(args, report)
-    for line in lines:
+    for line in text(args, report):
         print(line)
     dump_report(report, args)
-    return rc
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,20 +1,23 @@
 """Reduced simplicial homology over Q and F_p via boundary-matrix ranks.
 
-Ranks over F_p run as dense vectorized elimination (boundary matrices at
-our scales fit comfortably in memory).  Ranks over Q use fraction-free
-sparse elimination over Z with gcd row reduction.  For Betti tables in
-characteristic zero a one-sided mod-p certificate is tried first: since
-rank_p <= rank_Q entrywise and reduced Betti numbers are nonnegative,
-vanishing of H_i mod p pins the rational ranks of both adjacent boundary
-maps exactly; only uncertified indices fall back to exact elimination.
+Every rank runs through one sparse elimination (`_eliminate`): over Z
+for Q, fraction-free with gcd row reduction at non-unit pivots, and over
+F_p with modular arithmetic.  Pivots are chosen Markowitz-style from a
+column-to-rows index, so a pivot touches only the rows that hold its
+column.  Mod p, a Schur complement that fills in to a dense block of
+moderate size is finished by dense vectorized elimination in numpy,
+which is imported only then.  For Betti tables in characteristic zero a
+one-sided mod-p certificate is tried first: since rank_p <= rank_Q
+entrywise and reduced Betti numbers are nonnegative, vanishing of H_i
+mod p pins the rational ranks of both adjacent boundary maps exactly;
+only uncertified indices fall back to exact elimination.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd, isqrt
-
-import numpy as np
 
 from .complexes import SimplicialComplex, component_count
 
@@ -72,17 +75,13 @@ class SparseMatrix:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             seen.add((r, c))
 
-    def to_dense(self, p: int | None = None) -> np.ndarray:
+    def to_dense(self, p: int | None = None) -> "numpy.ndarray":
+        import numpy as np
+
         a = np.zeros((self.row_count, self.col_count), dtype=np.int64)
         for r, c, v in self.entries:
             a[r, c] = v % p if p else v
         return a
-
-    def rows(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(self.row_count)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,19 @@ def boundary_matrix(c: SimplicialComplex, i: int, field: FieldSpec) -> SparseMat
     return SparseMatrix(rows, cols, tuple(entries))
 
 
-def _rank_dense_mod_p(a: np.ndarray, p: int) -> int:
+# The Schur complement left by the sparse pivots goes to dense elimination
+# mod p once more than this share of its cells is nonzero, if its cell
+# count lies in this range: below it numpy does not pay for itself, above
+# it the int64 array (8 bytes a cell) would pass a 64 MB memory budget.
+_DENSE_SHARE = 0.1
+_DENSE_MIN_CELLS = 20_000
+_DENSE_MAX_CELLS = 8_000_000
+
+
+def _rank_dense_mod_p(a: "numpy.ndarray", p: int) -> int:
     """Gaussian elimination over F_p, vectorized row updates."""
+    import numpy as np
+
     a = a % p
     m, n = a.shape
     r = 0
@@ -153,93 +163,152 @@ def _rank_dense_mod_p(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_sparse_exact(rows: list[dict[int, int]]) -> int:
-    """Fraction-free sparse elimination over Z with gcd row reduction.
+def _dense_rank_of_rows(rows: dict[int, dict[int, int]], cols, p: int) -> int:
+    """Rank mod p of the rows left by the sparse pivots, by dense elimination."""
+    import numpy as np
 
-    Pivot choice: sparsest available row, then its column with fewest
-    occurrences elsewhere (Markowitz-style), to limit fill-in.
+    position = {c: k for k, c in enumerate(cols)}
+    ri, ci, vs = [], [], []
+    for k, row in enumerate(rows.values()):
+        ri.extend([k] * len(row))
+        ci.extend(position[c] for c in row)
+        vs.extend(row.values())
+    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    a[ri, ci] = vs
+    return _rank_dense_mod_p(a, p)
+
+
+def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
+    """Rank of the matrix whose nonzero rows are given as {row: {column:
+    value}}, over F_p, or over Z (the rank over Q) when p is 0.
+
+    Sparse elimination with a column-to-rows index, so a pivot touches
+    only the rows that hold its column.  The pivot row is the shortest row
+    left, from a min-heap of (length, row) whose stale entries are
+    skipped; its pivot column is the one held by the fewest other rows
+    (Markowitz), over Z preferring a unit entry, which needs no scaling.
+    A non-unit pivot takes a fraction-free step and then divides the row
+    by the gcd of its entries.  Mod p a Schur complement that has become
+    dense is finished by `_rank_dense_mod_p`.  The rows are consumed.
     """
-    rows = [dict(r) for r in rows if r]
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for c in row:
+            if c in cols:
+                cols[c].add(i)
+            else:
+                cols[c] = {i}
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
+    nnz = sum(n for n, _ in heap)
     rank = 0
     while rows:
-        pi = min(range(len(rows)), key=lambda k: len(rows[k]))
-        prow = rows.pop(pi)
+        if p:
+            cells = len(rows) * len(cols)
+            if _DENSE_MIN_CELLS <= cells <= _DENSE_MAX_CELLS and nnz > _DENSE_SHARE * cells:
+                return rank + _dense_rank_of_rows(rows, cols, p)
+        n, i = heapq.heappop(heap)
+        if len(rows.get(i, ())) != n:
+            continue  # pivoted, emptied or changed since it was pushed
+        prow = rows.pop(i)
         rank += 1
-        col_use = {}
-        for r in rows:
-            for c in r:
-                if c in prow:
-                    col_use[c] = col_use.get(c, 0) + 1
-        pc = min(prow, key=lambda c: (col_use.get(c, 0), c))
-        pv = prow[pc]
-        nxt = []
-        for r in rows:
-            f = r.get(pc)
-            if f is None:
-                nxt.append(r)
-                continue
-            new = {}
-            for c, v in r.items():
-                new[c] = pv * v
-            for c, v in prow.items():
-                w = new.get(c, 0) - f * v
-                if w:
-                    new[c] = w
-                else:
-                    new.pop(c, None)
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                nxt.append(new)
-        rows = nxt
+        nnz -= n
+        for c in prow:
+            cols[c].discard(i)
+        if p:
+            pc = min(prow, key=lambda c: len(cols[c]))
+        else:
+            pc = min(prow, key=lambda c: (abs(prow[c]) != 1, len(cols[c])))
+        pv = prow.pop(pc)
+        inv = pow(pv, p - 2, p) if p else 0
+        pivot_terms = list(prow.items())
+        for t in cols.pop(pc):
+            trow = rows[t]
+            f = trow.pop(pc)
+            before = len(trow) + 1
+            scale = 1
+            if p:
+                g = f * inv % p
+            elif f % pv == 0:
+                g = f // pv
+            else:  # fraction-free: trow <- (pv/d) trow - (f/d) prow
+                d = gcd(pv, f)
+                scale, g = pv // d, f // d
+                for c in trow:
+                    trow[c] *= scale
+            _subtract(trow, t, pivot_terms, g, p, cols)
+            if scale != 1 and trow:
+                d = 0
+                for v in trow.values():
+                    d = gcd(d, v)
+                if d > 1:
+                    for c in trow:
+                        trow[c] //= d
+            nnz += len(trow) - before
+            if trow:
+                heapq.heappush(heap, (len(trow), t))
+            else:
+                del rows[t]
+        for c in prow:  # the only columns whose row sets changed
+            if not cols[c]:
+                del cols[c]
     return rank
+
+
+def _subtract(trow: dict[int, int], t: int, terms, g: int, p: int, cols) -> None:
+    """trow -= g * terms (mod p if p), keeping the column index of row t.
+
+    One loop per arithmetic, so neither tests p once per entry."""
+    if p:
+        for c, v in terms:
+            w = trow.get(c)
+            if w is None:
+                trow[c] = -g * v % p
+                cols[c].add(t)
+            else:
+                w = (w - g * v) % p
+                if w:
+                    trow[c] = w
+                else:
+                    del trow[c]
+                    cols[c].discard(t)
+    else:
+        for c, v in terms:
+            w = trow.get(c)
+            if w is None:
+                trow[c] = -g * v
+                cols[c].add(t)
+            else:
+                w -= g * v
+                if w:
+                    trow[c] = w
+                else:
+                    del trow[c]
+                    cols[c].discard(t)
 
 
 def rank(m: SparseMatrix, field: FieldSpec = QQ) -> int:
-    """Exact rank over the given field."""
-    if m.row_count == 0 or m.col_count == 0 or not m.entries:
-        return 0
+    """Exact rank over the given field.
+
+    A matrix with more columns than rows is eliminated as its transpose:
+    on the wide h.s.o.p. multiplication matrices the shortest-row pivots
+    then fill in far less (the whiskered 5-vertex path verifies about 4x
+    faster), and elsewhere it measured the same.
+    """
     p = field.characteristic
-    if p == 0:
-        return _rank_sparse_exact(m.rows())
-    density = len(m.entries) / (m.row_count * m.col_count)
-    cells = m.row_count * m.col_count
-    if density > 0.2 or cells <= 8_000_000:
-        return _rank_dense_mod_p(m.to_dense(p), p)
-    return _rank_sparse_mod_p(m.rows(), p)
-
-
-def _rank_sparse_mod_p(rows: list[dict[int, int]], p: int) -> int:
-    rows = [{c: v % p for c, v in r.items() if v % p} for r in rows]
-    rows = [r for r in rows if r]
-    rank = 0
-    while rows:
-        pi = min(range(len(rows)), key=lambda k: len(rows[k]))
-        prow = rows.pop(pi)
-        rank += 1
-        pc = min(prow)
-        inv = pow(prow[pc], p - 2, p)
-        prow = {c: v * inv % p for c, v in prow.items()}
-        nxt = []
-        for r in rows:
-            f = r.get(pc)
-            if f is None:
-                nxt.append(r)
-                continue
-            new = dict(r)
-            for c, v in prow.items():
-                w = (new.get(c, 0) - f * v) % p
-                if w:
-                    new[c] = w
-                else:
-                    new.pop(c, None)
-            if new:
-                nxt.append(new)
-        rows = nxt
-    return rank
+    rows: dict[int, dict[int, int]] = {}
+    entries = m.entries
+    if m.row_count < m.col_count:
+        entries = ((c, r, v) for r, c, v in entries)
+    for r, c, v in entries:
+        if p:
+            v %= p
+        if v:
+            if r in rows:
+                rows[r][c] = v
+            else:
+                rows[r] = {c: v}
+    return _eliminate(rows, p)
 
 
 def _betti_from_ranks(counts, ranks) -> tuple[int, ...]:

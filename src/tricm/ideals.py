@@ -42,7 +42,6 @@ KIND_POWER_SUMS = "power-sums"
 REGULAR = "REGULAR"
 NOT_REGULAR = "NOT_REGULAR"
 NOT_HSOP_WITHIN_CAP = "NOT_HSOP_WITHIN_CAP"
-CAP_REACHED = "CAP_REACHED"
 
 # monomial: tuple of (variable index, exponent), sorted by variable
 Monomial = tuple[tuple[int, int], ...]
@@ -250,12 +249,11 @@ def _verify_over(field, forms, basis, expected, cap) -> RegularityVerdict:
             return RegularityVerdict(
                 NOT_REGULAR, field, tuple(per_degree), failing_degree=first_mismatch
             )
-    # never reached a zero graded piece by the cap
-    if first_mismatch is not None:
-        return RegularityVerdict(
-            NOT_HSOP_WITHIN_CAP, field, tuple(per_degree), failing_degree=first_mismatch
-        )
-    return RegularityVerdict(CAP_REACHED, field, tuple(per_degree))
+    # never reached a zero graded piece by the cap; the cap is past the
+    # expected degree, and there e = 0 < actual, so first_mismatch is set
+    return RegularityVerdict(
+        NOT_HSOP_WITHIN_CAP, field, tuple(per_degree), failing_degree=first_mismatch
+    )
 
 
 def _rank01(entries, rows, cols, field: FieldSpec) -> int:

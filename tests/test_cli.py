@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tricm import cli, complexes
+from tricm import cli, complexes, ideals
 from tricm.cli import main
 
 
@@ -143,6 +146,33 @@ class TestHsop:
         assert rc == 0
         assert "NOT_" in out
 
+    def test_smallest_degree_cap(self, capsys, tmp_path):
+        # the smallest accepted cap is the expected degree + 1, where the
+        # expected series is 0, so it still ends in a verdict
+        h = complexes.h_vector(complexes.triangular_f_closed(5))
+        expected = ideals.expected_artinian_hilbert(h, (1, 2))
+        cap = max(k for k, e in enumerate(expected) if e) + 1
+        out_json = tmp_path / "r.json"
+        rc, out, _ = run(
+            capsys,
+            [
+                "hsop", "--triangular", "5", "--kind", "elementary",
+                "--verify", "--degree-cap", str(cap), "--json", str(out_json),
+            ],
+        )
+        assert rc == 0
+        assert "regularity over char 0: REGULAR" in out
+        verify = load_json(out_json)["hsop"]["verify"]
+        assert [d["degree"] for d in verify["per_degree"]] == list(range(cap + 1))
+        rc, _, err = run(
+            capsys,
+            [
+                "hsop", "--triangular", "5", "--kind", "elementary",
+                "--verify", "--degree-cap", str(cap - 1),
+            ],
+        )
+        assert rc == cli.EXIT_INPUT and "cap" in err
+
     def test_degree_cap_too_small(self, capsys):
         rc, _, err = run(
             capsys,
@@ -203,6 +233,16 @@ class TestHomology:
         rc, _, err = run(capsys, ["homology", "--complex", str(cpath)])
         assert rc == cli.EXIT_INPUT
         assert "malformed" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported only for a dense block, so runs with no dense
+    # block (every `vectors` run among them) do not pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tricm.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestErrorsAndExitCodes:

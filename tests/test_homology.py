@@ -57,6 +57,36 @@ def naive_rank_mod_p(dense, p):
     return r
 
 
+def random_dense(rng, rows, cols, density, values=(-3, -2, -1, 1, 2, 3)):
+    return [
+        [rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def dependent_dense(rng, rows, cols, rank, density):
+    """Rows a*u + b*v of `rank` random sparse +-1 rows u, v, with a = +-1
+    and b = +-2, so entries stay in -3..3 and the rank over Q is at most
+    `rank`: a pivot whose multiplier is wrong leaves a row that should
+    have cancelled."""
+    base = random_dense(rng, rank, cols, density, values=(-1, 1))
+    out = []
+    for _ in range(rows):
+        u, v = rng.sample(base, 2)
+        a, b = rng.choice((-1, 1)), rng.choice((-2, 2))
+        out.append([a * x + b * y for x, y in zip(u, v)])
+    return out
+
+
+def sparse_of(dense):
+    entries = tuple((r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v)
+    return SparseMatrix(len(dense), len(dense[0]), entries)
+
+
+def transpose(m):
+    return SparseMatrix(m.col_count, m.row_count, tuple((c, r, v) for r, c, v in m.entries))
+
+
 def euler_characteristic(c):
     f = complexes.f_vector(c).entries
     return sum((-1) ** i * f[i + 1] for i in range(-1, len(f) - 1))
@@ -237,3 +267,105 @@ class TestBettiTables:
         c = from_faces(4, faces)
         assert reduced_betti_table(c, QQ).dims == (0, 0, 0, 1)
         assert reduced_betti_table(c, FieldSpec(2)).dims == (0, 0, 0, 1)
+
+
+PRIMES = (2, 3, 97, 2**31 - 1)  # 2^31 - 1: products of two entries near 2^62
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Shapes of the blocks handed to the dense mod-p finisher."""
+    calls = []
+    real = homology._rank_dense_mod_p
+
+    def spy(a, p):
+        calls.append(a.shape)
+        return real(a, p)
+
+    monkeypatch.setattr(homology, "_rank_dense_mod_p", spy)
+    return calls
+
+
+class TestEliminationKernel:
+    """The one sparse elimination against the oracles, on seeded random
+    matrices with entries in -3..3, so that non-unit pivots occur."""
+
+    @pytest.mark.parametrize(
+        "seed,rows,cols,density",
+        [
+            (1, 20, 30, 0.3),
+            (2, 40, 25, 0.6),
+            (3, 60, 80, 0.1),
+            (4, 100, 150, 0.03),  # 15000 cells: below the hand-off size
+            (5, 150, 120, 0.01),
+            (6, 150, 130, 0.02),
+        ],
+    )
+    def test_stays_sparse(self, dense_calls, seed, rows, cols, density):
+        dense = random_dense(random.Random(seed), rows, cols, density)
+        m = sparse_of(dense)
+        assert rank(m, QQ) == rank(transpose(m), QQ) == fraction_rank(dense)
+        for p in PRIMES:
+            expected = naive_rank_mod_p(dense, p)
+            assert rank(m, FieldSpec(p)) == rank(transpose(m), FieldSpec(p)) == expected
+        assert dense_calls == []
+
+    @pytest.mark.parametrize(
+        "seed,rows,cols,density,dense_primes,at_once",
+        [
+            (7, 150, 150, 0.6, PRIMES, True),
+            # entries +-2 vanish mod 2 and +-3 mod 3, so mod 2 and 3 the
+            # block never gets dense enough
+            (10, 120, 250, 0.06, (97, 2**31 - 1), False),
+            (12, 150, 200, 0.07, (97, 2**31 - 1), False),
+        ],
+    )
+    def test_dense_hand_off(self, dense_calls, seed, rows, cols, density, dense_primes, at_once):
+        dense = random_dense(random.Random(seed), rows, cols, density)
+        m = sparse_of(dense)
+        whole = (max(rows, cols), min(rows, cols))  # wide matrices go transposed
+        for p in PRIMES:
+            dense_calls.clear()
+            expected = naive_rank_mod_p(dense, p)
+            assert rank(m, FieldSpec(p)) == expected
+            if p in dense_primes:
+                # at once the whole matrix, else the Schur complement
+                # left after some sparse pivots
+                assert len(dense_calls) == 1
+                assert (dense_calls[0] == whole) == at_once
+            else:
+                assert dense_calls == []
+            assert rank(transpose(m), FieldSpec(p)) == expected
+
+    @pytest.mark.parametrize(
+        "seed,rows,cols,rank_bound,density",
+        [(13, 40, 30, 12, 0.2), (14, 80, 100, 30, 0.08), (15, 150, 120, 40, 0.04)],
+    )
+    def test_dependent_rows(self, seed, rows, cols, rank_bound, density):
+        dense = dependent_dense(random.Random(seed), rows, cols, rank_bound, density)
+        m = sparse_of(dense)
+        r = fraction_rank(dense)
+        assert r <= rank_bound
+        assert rank(m, QQ) == rank(transpose(m), QQ) == r
+        for p in PRIMES:
+            expected = naive_rank_mod_p(dense, p)
+            assert rank(m, FieldSpec(p)) == rank(transpose(m), FieldSpec(p)) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fraction_free_steps(self, monkeypatch, seed):
+        # no unit entries, so every pivot over Z is a fraction-free step
+        # and the rows are divided by the gcd of their entries
+        gcds = []
+        real = homology.gcd
+
+        def spy(a, b):
+            gcds.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(homology, "gcd", spy)
+        dense = random_dense(random.Random(seed), 40, 50, 0.15, values=(-3, -2, 2, 3))
+        m = sparse_of(dense)
+        assert rank(m, QQ) == rank(transpose(m), QQ) == fraction_rank(dense)
+        assert gcds
+        for p in (2, 3, 97):
+            assert rank(m, FieldSpec(p)) == naive_rank_mod_p(dense, p)

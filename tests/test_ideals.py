@@ -9,7 +9,6 @@ from tricm.complexes import HVector
 from tricm.graphs import Graph, complete, triangular
 from tricm.homology import QQ, FieldSpec, SparseMatrix
 from tricm.ideals import (
-    CAP_REACHED,
     KIND_INDEPENDENT_SET_SUMS,
     KIND_POWER_SUMS,
     NOT_HSOP_WITHIN_CAP,
