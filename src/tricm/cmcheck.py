@@ -79,9 +79,8 @@ def h_screen(c: SimplicialComplex) -> int | None:
 def _h_screen_verdict(c: SimplicialComplex, field: FieldSpec, name: str) -> CmVerdict | None:
     """NOT_CM with the first negative h-vector entry of c as witness, or
     None if the h-screen passes."""
-    if h_screen(c) is None:
-        return None
-    return CmVerdict(NOT_CM, field, (_h_witness(complexes.f_vector(c), name),), "h-screen")
+    w = _h_witness(complexes.f_vector(c), name)
+    return None if w is None else CmVerdict(NOT_CM, field, (w,), "h-screen")
 
 
 def classify_complex(c: SimplicialComplex, field: FieldSpec, name: str = "complex") -> CmVerdict:

@@ -17,28 +17,17 @@ from .graphs import Graph, set_to_mask
 
 @dataclass
 class SimplicialComplex:
+    """Faces grouped by dimension, each level sorted, each face an
+    increasing tuple of vertices in 0..vertex_count-1.  The constructor
+    trusts its arguments: faces from outside come in through
+    `from_faces`, which checks them."""
+
     vertex_count: int
     faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
     has_empty_face: bool = True
     _faces_by_mask: dict[int, tuple[int, ...]] | None = field(
         default=None, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        self.faces_by_dim = tuple(
-            tuple(sorted(tuple(sorted(f)) for f in level))
-            for level in self.faces_by_dim
-        )
-        if self.faces_by_dim and not self.has_empty_face:
-            raise ValueError("nonempty complex must contain the empty face")
-        for d, level in enumerate(self.faces_by_dim):
-            if len(set(level)) != len(level):
-                raise ValueError(f"duplicate faces in dimension {d}")
-            for f in level:
-                if len(f) != d + 1:
-                    raise ValueError(f"face {f} stored at wrong dimension {d}")
-                if f and not (0 <= f[0] and f[-1] < self.vertex_count):
-                    raise ValueError(f"face {f} out of range")
 
     @property
     def is_void(self) -> bool:
@@ -80,8 +69,10 @@ EMPTY_ONLY = SimplicialComplex(0, (), has_empty_face=True)
 
 
 def from_faces(vertex_count: int, faces, close: bool = False) -> SimplicialComplex:
-    """Build a complex from a face list.  With close=True the subset
-    closure is generated; otherwise the input must already be closed."""
+    """Build a complex from a face list, in any order and with repeats.
+    With close=True the subset closure is generated; otherwise the input
+    must already be closed.  Raises ValueError for a vertex outside
+    0..vertex_count-1 or repeated within a face."""
     face_set = {tuple(sorted(f)) for f in faces}
     if close:
         stack = list(face_set)
@@ -101,7 +92,13 @@ def from_faces(vertex_count: int, faces, close: bool = False) -> SimplicialCompl
     for f in face_set:
         if f:
             levels[len(f) - 1].append(f)
-    c = SimplicialComplex(vertex_count, tuple(tuple(l) for l in levels))
+    c = SimplicialComplex(vertex_count, tuple(tuple(sorted(l)) for l in levels))
+    for level in c.faces_by_dim:
+        for f in level:
+            if f[0] < 0 or f[-1] >= vertex_count:
+                raise ValueError(f"face {f} out of range")
+            if len(set(f)) != len(f):
+                raise ValueError(f"face {f} repeats a vertex")
     _check_closed(c)
     return c
 

@@ -155,20 +155,22 @@ def independent_sets(g: Graph, max_size: int | None = None) -> list[tuple[int, .
 
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """Inclusion-maximal independent sets, in lexicographic order."""
-    masks = g.neighbor_masks
+    # a set is maximal iff the closed neighbourhoods of its vertices
+    # cover the graph
+    closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
+    full = (1 << g.vertex_count) - 1
     out = []
     for s in independent_sets(g):
-        smask = set_to_mask(s)
-        if all(
-            (smask >> v & 1) or (masks[v] & smask)
-            for v in range(g.vertex_count)
-        ):
+        covered = 0
+        for v in s:
+            covered |= closed[v]
+        if covered == full:
             out.append(s)
     return out
 
 
 def independence_number(g: Graph) -> int:
-    return max(len(s) for s in maximal_independent_sets(g)) if g.vertex_count else 0
+    return max(map(len, independent_sets(g)))
 
 
 def is_unmixed(g: Graph) -> bool:

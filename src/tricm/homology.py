@@ -6,11 +6,10 @@ F_p with modular arithmetic.  Pivots are chosen Markowitz-style from a
 column-to-rows index, so a pivot touches only the rows that hold its
 column.  Mod p, a Schur complement that fills in to a dense block of
 moderate size is finished by dense vectorized elimination in numpy,
-which is imported only then.  For Betti tables in characteristic zero a
-one-sided mod-p certificate is tried first: since rank_p <= rank_Q
-entrywise and reduced Betti numbers are nonnegative, vanishing of H_i
-mod p pins the rational ranks of both adjacent boundary maps exactly;
-only uncertified indices fall back to exact elimination.
+which is imported only then.  A Betti table computes each boundary rank
+once, in the field it was asked for: over Q that is the exact elimination
+over Z.  The prime of the h.s.o.p. certificate, `CERT_PRIME`, lives in
+`ideals`.
 """
 
 from __future__ import annotations
@@ -20,11 +19,6 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .complexes import SimplicialComplex, component_count
-
-# prime of the characteristic-zero certificates (Betti tables and h.s.o.p.
-# regularity): mod-p ranks only underestimate rational ones
-CERT_PRIME = 1000003
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -343,24 +337,5 @@ def reduced_betti_table(c: SimplicialComplex, field: FieldSpec) -> BettiTable:
         return BettiTable(field, (0, h0, h1))
 
     # ranks[j] = rank of d_{j-1}; d_{-1} is the zero map
-    matrices = {i: boundary_matrix(c, i, field) for i in range(0, d + 2)}
-    if field.characteristic != 0:
-        ranks = [0] + [rank(matrices[i], field) for i in range(0, d + 2)]
-        return BettiTable(field, _betti_from_ranks(counts, ranks))
-
-    # characteristic 0: try the mod-p certificate first
-    fp = FieldSpec(CERT_PRIME)
-    modp = [0] + [rank(matrices[i], fp) for i in range(0, d + 2)]
-    betti_p = _betti_from_ranks(counts, modp)
-    certified = [False] * (d + 3)  # certified[j]: rank of d_{j-1} exact
-    certified[0] = certified[d + 2] = True  # zero maps
-    for i, b in enumerate(betti_p, start=-1):
-        if b == 0:
-            # f_i = rank_p(d_i) + rank_p(d_{i+1}) forces both rational
-            # ranks down onto the mod-p values
-            certified[i + 1] = certified[i + 2] = True
-    ranks = list(modp)
-    for j in range(1, d + 2):
-        if not certified[j]:
-            ranks[j] = rank(matrices[j - 1], QQ)
+    ranks = [0] + [rank(boundary_matrix(c, i, field), field) for i in range(d + 2)]
     return BettiTable(field, _betti_from_ranks(counts, ranks))

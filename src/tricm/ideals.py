@@ -18,11 +18,11 @@ delta survives in R/I(G) iff its support is independent, which is to say
 iff it is one of the degree-delta basis monomials; so one dictionary
 lookup both decides survival and gives the product's row.
 
-In characteristic zero the default route certifies through a large prime:
-ranks mod p only underestimate rational ranks while actual graded
-dimensions never drop below the expected ones, so a REGULAR verdict mod p
-pins the rational answer.  Direct rational elimination is available via
-exact=True.
+In characteristic zero the default route certifies through the large
+prime `CERT_PRIME`: ranks mod p only underestimate rational ranks while
+actual graded dimensions never drop below the expected ones, so a REGULAR
+verdict mod p pins the rational answer.  Direct rational elimination is
+available via exact=True.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from . import complexes, graphs, homology
 from .graphs import Graph
-from .homology import CERT_PRIME, FieldSpec, SparseMatrix
+from .homology import FieldSpec, SparseMatrix
 
 KIND_INDEPENDENT_SET_SUMS = "independent-set-sums"
 KIND_POWER_SUMS = "power-sums"
@@ -42,6 +42,10 @@ KIND_POWER_SUMS = "power-sums"
 REGULAR = "REGULAR"
 NOT_REGULAR = "NOT_REGULAR"
 NOT_HSOP_WITHIN_CAP = "NOT_HSOP_WITHIN_CAP"
+
+# prime of the characteristic-zero regularity certificate: mod-p ranks only
+# underestimate rational ones
+CERT_PRIME = 1000003
 
 # monomial: tuple of (variable index, exponent), sorted by variable
 Monomial = tuple[tuple[int, int], ...]
@@ -226,7 +230,8 @@ def _verify_over(field, forms, basis, expected, cap) -> RegularityVerdict:
                     if row is not None:  # else m*t lies in the edge ideal
                         entries.append((row, col, 1))
                 col += 1
-        actual = len(index) - _rank01(entries, len(index), col, field)
+        # a temporary matrix, so it is freed before the next degree is built
+        actual = len(index) - homology.rank(SparseMatrix(len(index), col, tuple(entries)), field)
         per_degree.append((delta, e, actual))
         if e >= 0 and actual < e:
             raise AssertionError(
@@ -255,7 +260,3 @@ def _verify_over(field, forms, basis, expected, cap) -> RegularityVerdict:
         NOT_HSOP_WITHIN_CAP, field, tuple(per_degree), failing_degree=first_mismatch
     )
 
-
-def _rank01(entries, rows, cols, field: FieldSpec) -> int:
-    """Rank of a 0/1 incidence matrix given as (row, col, 1) triples."""
-    return homology.rank(SparseMatrix(rows, cols, tuple(entries)), field)

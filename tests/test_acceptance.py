@@ -206,6 +206,21 @@ def test_criterion_6_nightly_t9():
     )
 
 
+@pytest.mark.skipif(
+    os.environ.get("TRICM_NIGHTLY") != "1",
+    reason="exact rational Betti table of D(11); set TRICM_NIGHTLY=1 to run",
+)
+def test_nightly_d11_char0():
+    """Extended test of the exact route at scale: H~(D(11); Q), every
+    boundary rank by elimination over Z, equals Bouc's prediction;
+    < 60 s."""
+    t0 = time.monotonic()
+    t = homology.reduced_betti_table(triangular_complex(11), QQ)
+    elapsed = time.monotonic() - t0
+    assert t.dims == bouc_betti(11) == (0, 0, 0, 0, 1188, 252)
+    assert elapsed < 60.0, f"D(11) over Q took {elapsed:.1f}s"
+
+
 def test_criterion_7_unmixedness():
     """T_n unmixed for 2 <= n <= 10, all maximal independent sets of size
     floor(n/2); < 60 s."""

@@ -234,6 +234,20 @@ class TestHomology:
         assert rc == cli.EXIT_INPUT
         assert "malformed" in err
 
+    @pytest.mark.parametrize("text,face", [
+        ("dim 1 vertices 3\n0\n1\n3\n0 1\n", "(3,)"),
+        ("dim 0 vertices 3\n-1\n0\n", "(-1,)"),
+        ("dim 1 vertices 3\n0\n1\n0 0\n", "(0, 0)"),
+    ], ids=["too-large", "negative", "repeated"])
+    def test_complex_file_bad_vertex(self, capsys, tmp_path, text, face):
+        cpath = tmp_path / "c.cplx"
+        cpath.write_text(text)
+        rc, out, err = run(capsys, ["homology", "--complex", str(cpath)])
+        assert rc == cli.EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: malformed complex file: face {face} ")
+        assert err.count("\n") == 1
+
 
 def test_cli_import_leaves_numpy_unloaded():
     # numpy is imported only for a dense block, so runs with no dense

@@ -89,6 +89,25 @@ class TestComplexType:
         with pytest.raises(ValueError):
             from_faces(3, [(), (0, 1)])  # missing vertices
 
+    @pytest.mark.parametrize("faces", [
+        [(), (0,), (3,)],  # vertex == vertex_count
+        [(), (0,), (7,), (0, 7)],
+        [(), (-1,), (0,), (-1, 0)],
+    ])
+    def test_vertex_out_of_range(self, faces):
+        with pytest.raises(ValueError, match="out of range"):
+            from_faces(3, faces)
+        with pytest.raises(ValueError, match="out of range"):
+            from_faces(3, faces[-1:], close=True)
+
+    def test_repeated_vertex(self):
+        with pytest.raises(ValueError, match="repeats a vertex"):
+            from_faces(3, [(), (0,), (1,), (0, 0)])
+
+    def test_faces_sorted_whatever_the_input_order(self):
+        c = from_faces(4, [(), (3,), (1,), (0,), (2,), (3, 1), (2, 0), (1, 0)])
+        assert c.faces_by_dim == (((0,), (1,), (2,), (3,)), ((0, 1), (0, 2), (1, 3)))
+
     def test_closure_generation(self):
         c = from_faces(3, [(0, 1, 2)], close=True)
         assert c.face_counts() == (3, 3, 1)

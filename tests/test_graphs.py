@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -215,7 +216,19 @@ class TestMaximalIndependentSets:
         assert all(len(s) == 2 for s in mis)
 
     def test_matches_brute_force(self):
-        for g in (triangular(4), path3(), Graph(4, ((0, 1), (2, 3)))):
+        rng = random.Random(5)
+        graphs_ = [
+            triangular(4),
+            path3(),
+            Graph(4, ((0, 1), (2, 3))),
+            Graph(0, ()),
+            Graph(5, ((1, 3),)),  # isolated vertices 0, 2 and 4
+        ]
+        for _ in range(20):
+            n = rng.randint(1, 8)
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs_.append(Graph(n, tuple(p for p in pairs if rng.random() < 0.4)))
+        for g in graphs_:
             all_sets = set(brute_independent_sets(g))
             expected = sorted(
                 s
@@ -223,6 +236,7 @@ class TestMaximalIndependentSets:
                 if not any(set(s) < set(t) for t in all_sets)
             )
             assert sorted(maximal_independent_sets(g)) == expected
+            assert independence_number(g) == max(map(len, expected))
 
 
 class TestDerivedInvariants:

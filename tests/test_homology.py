@@ -87,6 +87,12 @@ def transpose(m):
     return SparseMatrix(m.col_count, m.row_count, tuple((c, r, v) for r, c, v in m.entries))
 
 
+def whiskered(g):
+    """g plus a pendant vertex v + n on each vertex v."""
+    n = g.vertex_count
+    return graphs.Graph(2 * n, g.edges + tuple((v, v + n) for v in range(n)))
+
+
 def euler_characteristic(c):
     f = complexes.f_vector(c).entries
     return sum((-1) ** i * f[i + 1] for i in range(-1, len(f) - 1))
@@ -231,6 +237,11 @@ class TestBettiTables:
         t = reduced_betti_table(triangular_complex(9), QQ)
         assert t.dims == (0, 0, 0, 42, 70)
 
+    def test_t10_char0(self):
+        # Bouc's prediction, `bouc_betti(10)` in test_acceptance
+        t = reduced_betti_table(triangular_complex(10), QQ)
+        assert t.dims == (0, 0, 0, 0, 1216, 0)
+
     def test_empty_only(self):
         t = reduced_betti_table(complexes.EMPTY_ONLY, QQ)
         assert t.dims == (1,)
@@ -259,6 +270,30 @@ class TestBettiTables:
             assert reduced_betti_table(c2, FieldSpec(3)).dims == reduced_betti_table(
                 c, FieldSpec(3)
             ).dims
+
+    @pytest.mark.parametrize("c", [
+        triangular_complex(7),
+        triangular_complex(9),
+        complexes.independence_complex(
+            whiskered(graphs.Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))))
+        ),
+    ], ids=["delta7", "delta9", "whiskered-c5"])
+    def test_ranks_only_over_q(self, monkeypatch, c):
+        # over Q every boundary rank is computed once, exactly: no rank
+        # modulo a prime is taken along the way
+        fields = []
+        real = homology.rank
+
+        def spy(m, field=QQ):
+            fields.append(field)
+            return real(m, field)
+
+        monkeypatch.setattr(homology, "rank", spy)
+        t = reduced_betti_table(c, QQ)
+        assert set(fields) == {QQ}
+        assert len(fields) == c.dim + 2
+        alt = sum((-1) ** i * b for i, b in enumerate(t.dims, start=-1))
+        assert alt == euler_characteristic(c)
 
     def test_sphere(self):
         # boundary of the 3-simplex: a 2-sphere
