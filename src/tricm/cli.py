@@ -174,12 +174,11 @@ def dump_report(report: dict, args):
 
 
 def _base_report(input_desc: dict, g: graphs.Graph) -> dict:
-    mis = graphs.maximal_independent_sets(g)
-    sizes = {len(s) for s in mis}
+    counts, sizes = graphs.independence_profile(g)
     return {
         "input": input_desc,
         "graph": _graph_section(g),
-        "independence_number": str(max(sizes)),
+        "independence_number": str(len(counts) - 1),
         "unmixed": len(sizes) <= 1,
     }
 
@@ -189,12 +188,14 @@ def _vectors_json(f: complexes.FVector) -> dict:
 
 
 def _classify(args, input_desc, g, c, report):
-    c = complexes.independence_complex(g)
-    report.update(_vectors_json(complexes.f_vector(c)))
+    report.update(_vectors_json(complexes.FVector(graphs.independence_profile(g)[0])))
+    triangular = input_desc["kind"] == "triangular"
+    if not triangular:  # only the generic route looks at faces
+        c = complexes.independence_complex(g)
     verdicts = []
     for ch in args.char:
         field = FieldSpec(ch)
-        if input_desc["kind"] == "triangular":
+        if triangular:
             v = cmcheck.classify_triangular(input_desc["n"], field, force_full=args.full)
         else:
             v = cmcheck.classify_complex(c, field, name="delta_G")
@@ -214,7 +215,7 @@ def _classify_text(args, report):
 def _vectors(args, input_desc, g, c, report):
     if args.closed_form and input_desc["kind"] != "triangular":
         raise InputError("--closed-form applies to triangular graphs only")
-    f = complexes.f_vector(complexes.independence_complex(g))
+    f = complexes.FVector(graphs.independence_profile(g)[0])
     if args.closed_form:
         closed = complexes.triangular_f_closed(input_desc["n"])
         if closed.entries != f.entries:

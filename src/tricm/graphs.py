@@ -22,6 +22,9 @@ class Graph:
     _neighbor_masks: tuple[int, ...] | None = field(
         default=None, repr=False, compare=False
     )
+    _independence_profile: tuple[tuple[int, ...], frozenset[int]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -169,14 +172,57 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     return out
 
 
+def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
+    """(counts, sizes): counts[k] is the number of independent sets of size
+    k for k = 0..alpha(g), and sizes holds the sizes of the maximal ones.
+    Built on first use and kept on the graph.
+
+    One level-by-level pass over the search tree of independent sets in
+    increasing vertex order, with no tuples: a set S is carried as its
+    candidates (the vertices above max S adjacent to none of S) and its
+    blocked mask (the union of the closed neighbourhoods of S).  S is
+    maximal iff blocked covers the graph, which a set with a candidate
+    left never does, so only the leaves are tested and none is stored.
+    """
+    if g._independence_profile is not None:
+        return g._independence_profile
+    n = g.vertex_count
+    full = (1 << n) - 1
+    non_neighbors = [~m for m in g.neighbor_masks]
+    closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
+    counts = [1]
+    sizes = set() if n else {0}  # the empty set is maximal only in the empty graph
+    cands, blocks = ([full], [0]) if n else ([], [])
+    while cands:
+        next_cands, next_blocks = [], []
+        leaves = 0
+        for cand, blocked in zip(cands, blocks):
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                child = cand & non_neighbors[v]
+                child_blocked = blocked | closed[v]
+                if child:
+                    next_cands.append(child)
+                    next_blocks.append(child_blocked)
+                else:
+                    leaves += 1
+                    if child_blocked == full:
+                        sizes.add(len(counts))
+        counts.append(len(next_cands) + leaves)
+        cands, blocks = next_cands, next_blocks
+    g._independence_profile = (tuple(counts), frozenset(sizes))
+    return g._independence_profile
+
+
 def independence_number(g: Graph) -> int:
-    return max(map(len, independent_sets(g)))
+    return len(independence_profile(g)[0]) - 1
 
 
 def is_unmixed(g: Graph) -> bool:
     """True iff all maximal independent sets have the same cardinality."""
-    sizes = {len(s) for s in maximal_independent_sets(g)}
-    return len(sizes) <= 1
+    return len(independence_profile(g)[1]) <= 1
 
 
 def minimal_vertex_covers(g: Graph) -> list[tuple[int, ...]]:

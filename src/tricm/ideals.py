@@ -118,7 +118,7 @@ def hilbert_function(g: Graph, d: int) -> int:
         raise ValueError("degree must be >= 0")
     if d == 0:
         return 1
-    f = complexes.f_vector(complexes.independence_complex(g)).entries
+    f = graphs.independence_profile(g)[0]
     return sum(f[k] * math.comb(d - 1, k - 1) for k in range(1, len(f)))
 
 
@@ -185,7 +185,7 @@ def verify_regular(
         for t in f:
             if sum(p for _, p in t) != fdeg or any(p < 1 or not 0 <= v < n for v, p in t):
                 raise ValueError(f"form {k} is not homogeneous in the graph's variables")
-    h = complexes.h_vector(complexes.f_vector(complexes.independence_complex(g)))
+    h = complexes.h_vector(complexes.FVector(graphs.independence_profile(g)[0]))
     expected = expected_artinian_hilbert(h, form_degrees)
     exp_deg = len(expected) - 1
     while exp_deg > 0 and expected[exp_deg] == 0:

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from tricm import cli, complexes, ideals
+from tricm import cli, complexes, graphs, ideals
 from tricm.cli import main
 
 
@@ -105,6 +106,42 @@ class TestVectors:
         )
         assert rc == cli.EXIT_INPUT
         assert "closed-form" in err
+
+
+class TestFaceEnumeration:
+    """The report header, `vectors` and the triangular `classify` take
+    their counts from the graph's independence profile; only the generic
+    route of `classify --graph` builds the complex."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.delenv("TRICM_CACHE_DIR", raising=False)
+        counts = Counter()
+        for module, name in ((graphs, "independent_sets"), (complexes, "independence_complex")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["vectors", "--triangular", "8"], "f = (1,28,210,420,105)"),
+            (["classify", "--triangular", "8"], "char 0: NOT_CM (method: fast-path-theorem)"),
+        ],
+        ids=["vectors", "classify"],
+    )
+    def test_triangular_builds_no_faces(self, capsys, calls, argv, line):
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and line in out
+        assert calls == {}
+
+    def test_graph_classify_builds_the_complex_once(self, capsys, calls, tmp_path):
+        rc, out, _ = run(capsys, ["classify", "--graph", _k22_file(tmp_path)])
+        assert rc == 0 and "char 0: NOT_CM" in out
+        assert calls == {"independence_complex": 1, "independent_sets": 1}
 
 
 class TestHsop:
@@ -301,7 +338,7 @@ class TestErrorsAndExitCodes:
         def compute(*args, **kwargs):
             raise AssertionError("an unusable cache directory must stop the run before computing")
 
-        monkeypatch.setattr(complexes, "independence_complex", compute)
+        monkeypatch.setattr(graphs, "independence_profile", compute)
         rc, _, err = run(capsys, ["vectors", "--triangular", "4", "--cache-dir", str(path)])
         assert rc == cli.EXIT_INPUT
         assert err.startswith("error:") and len(err.splitlines()) == 1

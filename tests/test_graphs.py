@@ -4,11 +4,13 @@ import random
 import pytest
 
 from tricm import graphs
+from tricm.complexes import triangular_f_closed
 from tricm.graphs import (
     Graph,
     complement,
     complete,
     independence_number,
+    independence_profile,
     independent_sets,
     is_unmixed,
     maximal_independent_sets,
@@ -237,6 +239,51 @@ class TestMaximalIndependentSets:
             )
             assert sorted(maximal_independent_sets(g)) == expected
             assert independence_number(g) == max(map(len, expected))
+
+
+def brute_profile(g):
+    """Oracle for independence_profile: the size counts of all independent
+    sets and the sizes of the inclusion-maximal ones."""
+    sets = [set(s) for s in brute_independent_sets(g)]
+    counts = [0] * (max(map(len, sets)) + 1)
+    for s in sets:
+        counts[len(s)] += 1
+    sizes = {len(s) for s in sets if not any(s < t for t in sets)}
+    return tuple(counts), frozenset(sizes)
+
+
+class TestIndependenceProfile:
+    def test_small_graphs(self):
+        assert independence_profile(Graph(0, ())) == ((1,), frozenset({0}))
+        # isolated vertices 0, 2 and 4 lie in every maximal set
+        assert independence_profile(Graph(5, ((1, 3),))) == ((1, 5, 9, 7, 2), frozenset({4}))
+        assert independence_profile(path3()) == ((1, 3, 1), frozenset({1, 2}))
+        assert independence_profile(complete(4)) == ((1, 4), frozenset({1}))
+
+    def test_matches_brute_force(self):
+        rng = random.Random(11)
+        graphs_ = [Graph(0, ()), Graph(5, ((1, 3),)), path3(), triangular(4)]
+        for _ in range(50):
+            n = rng.randint(0, 10)
+            p = rng.random()
+            pairs = itertools.combinations(range(n), 2)
+            graphs_.append(Graph(n, tuple(e for e in pairs if rng.random() < p)))
+        for g in graphs_:
+            assert independence_profile(g) == brute_profile(g), g.edges
+            counts, sizes = independence_profile(g)
+            assert independence_number(g) == len(counts) - 1
+            assert is_unmixed(g) == (len(sizes) <= 1)
+
+    def test_triangular_counts_are_closed_form(self):
+        for n in range(2, 13):
+            counts, sizes = independence_profile(triangular(n))
+            assert counts == triangular_f_closed(n).entries
+            assert sizes == {n // 2}
+
+    def test_kept_on_the_graph(self):
+        g = triangular(6)
+        assert independence_profile(g) is independence_profile(g)
+        assert g == triangular(6) and "profile" not in repr(g)
 
 
 class TestDerivedInvariants:

@@ -111,13 +111,34 @@ class TestFieldSpec:
 
 
 class TestSparseMatrix:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 1, ((0, 0, 1), (0, 0, 2)))
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 1, ((0, 0, 0),))
-        with pytest.raises(ValueError):
-            SparseMatrix(1, 1, ((1, 0, 1),))
+    def test_out_of_range(self):
+        for r, c in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match=rf"^entry \({r},{c}\) out of range$"):
+                SparseMatrix(2, 3, ((0, 0, 1), (r, c, 1), (1, 2, 1)))
+
+    def test_explicit_zero(self):
+        with pytest.raises(ValueError, match="^explicit zero entry$"):
+            SparseMatrix(2, 3, ((0, 0, 1), (1, 2, 0)))
+
+    def test_duplicate(self):
+        with pytest.raises(ValueError, match=r"^duplicate entry at \(1,2\)$"):
+            SparseMatrix(2, 3, ((1, 2, 1), (0, 0, 1), (1, 2, -1)))
+
+    def test_names_the_first_offending_entry(self):
+        # an explicit zero before a duplicate and an out-of-range entry
+        with pytest.raises(ValueError, match="^explicit zero entry$"):
+            SparseMatrix(2, 3, ((0, 0, 1), (0, 1, 0), (0, 0, 1), (5, 5, 1)))
+        # a duplicate before an out-of-range entry
+        with pytest.raises(ValueError, match=r"^duplicate entry at \(0,0\)$"):
+            SparseMatrix(2, 3, ((0, 0, 1), (0, 0, 1), (5, 5, 1)))
+
+    def test_every_cell_in_any_order(self):
+        # every position of a non-square matrix: no two share a key
+        cells = [(r, c) for r in range(4) for c in range(5)]
+        random.Random(3).shuffle(cells)
+        m = SparseMatrix(4, 5, tuple((r, c, 1) for r, c in cells))
+        assert len(m.entries) == 20
+        assert SparseMatrix(4, 5, ()).entries == ()
 
 
 class TestBoundaryMatrix:
