@@ -111,6 +111,14 @@ class TestFieldSpec:
 
 
 class TestSparseMatrix:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            SparseMatrix(1, 1, ((0, 0, 1), (0, 0, 2)))
+        with pytest.raises(ValueError):
+            SparseMatrix(1, 1, ((0, 0, 0),))
+        with pytest.raises(ValueError):
+            SparseMatrix(1, 1, ((1, 0, 1),))
+
     def test_out_of_range(self):
         for r, c in ((2, 0), (0, 3), (-1, 0), (0, -1)):
             with pytest.raises(ValueError, match=rf"^entry \({r},{c}\) out of range$"):
