@@ -190,15 +190,13 @@ def _vectors_json(f: complexes.FVector) -> dict:
 def _classify(args, input_desc, g, c, report):
     report.update(_vectors_json(complexes.FVector(graphs.independence_profile(g)[0])))
     triangular = input_desc["kind"] == "triangular"
-    if not triangular:  # only the generic route looks at faces
-        c = complexes.independence_complex(g)
     verdicts = []
     for ch in args.char:
         field = FieldSpec(ch)
         if triangular:
             v = cmcheck.classify_triangular(input_desc["n"], field, force_full=args.full)
         else:
-            v = cmcheck.classify_complex(c, field, name="delta_G")
+            v = cmcheck.classify_graph(g, field, name="delta_G")
         verdicts.append(_verdict_json(v))
     report["verdicts"] = verdicts
 

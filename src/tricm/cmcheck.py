@@ -3,14 +3,11 @@ and the parity-reduced check specialized to triangular graphs.
 
 Check ordering follows cost: the h-vector screen needs no linear algebra,
 1-dimensional complexes reduce to connectivity, and only then is link
-homology computed, once for each distinct link that is not a cone.
+homology computed, once for each class of links that could fail.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from . import complexes, graphs, homology
@@ -76,38 +73,42 @@ def h_screen(c: SimplicialComplex) -> int | None:
     return None if w is None else w.index
 
 
-def _h_screen_verdict(c: SimplicialComplex, field: FieldSpec, name: str) -> CmVerdict | None:
-    """NOT_CM with the first negative h-vector entry of c as witness, or
-    None if the h-screen passes."""
-    w = _h_witness(complexes.f_vector(c), name)
+def _h_screen_verdict(g: graphs.Graph, field: FieldSpec, name: str) -> CmVerdict | None:
+    """NOT_CM with the first negative h-vector entry of Ind(g) as witness,
+    or None if the h-screen passes.  The f-vector is the graph's kept
+    independence profile, so no face is enumerated."""
+    f = complexes.FVector(graphs.independence_profile(g)[0])
+    w = _h_witness(f, name)
     return None if w is None else CmVerdict(NOT_CM, field, (w,), "h-screen")
 
 
-def classify_complex(c: SimplicialComplex, field: FieldSpec, name: str = "complex") -> CmVerdict:
-    """Classification of an arbitrary complex: the h-screen first, then
-    the generic Reisner check."""
-    return _h_screen_verdict(c, field, name) or reisner_check(c, field, name=name)
+def classify_graph(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> CmVerdict:
+    """Classification of Ind(g) for an arbitrary graph: the h-screen
+    first, then the generic Reisner check."""
+    return _h_screen_verdict(g, field, name) or reisner_check(g, field, name=name)
 
 
-def _link_digest(link: SimplicialComplex) -> bytes:
-    """SHA-256 over the face masks of the link, relabelled
-    order-preservingly onto its occupied vertices: two links share a
-    digest iff they are equal up to that relabelling."""
-    bit = {v: 1 << i for i, (v,) in enumerate(link.faces_by_dim[0])}
-    width = (len(bit) + 7) // 8
-    payload = [len(bit).to_bytes(8, "little")]
-    payload += [sum(map(bit.__getitem__, g)).to_bytes(width, "little") for g in link.all_faces()]
-    return hashlib.sha256(b"".join(payload)).digest()
+def _link_class(neighbor_masks: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...] | None:
+    """Class key of the link Ind(G[m]): the edges of G[m] relabelled
+    order-preservingly onto 0..|m|-1.  Two masks get the same key iff
+    their links are the same complex up to that relabelling, and so have
+    the same Betti numbers.  (No vertex of a keyed G[m] is isolated, so
+    the edges also fix |m|.)
 
-
-def _is_cone(link: SimplicialComplex) -> bool:
-    """Whether some vertex v lies in exactly half of the faces (the empty
-    face counted).  Then g -> g ∪ {v} maps the faces without v onto those
-    with v, so the link is a cone with apex v: acyclic over Z, with every
-    reduced Betti number 0 over every field."""
-    faces = link.all_faces()
-    counts = Counter(itertools.chain.from_iterable(faces))
-    return any(2 * n == len(faces) for n in counts.values())
+    None when the link cannot fail Reisner's criterion: G[m] complete
+    (the link has dimension <= 0) or with an isolated vertex v (the link
+    is a cone with apex v, acyclic over Z)."""
+    verts = graphs.mask_to_set(m)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = []
+    for v in verts:
+        nb = neighbor_masks[v] & m
+        if not nb:
+            return None
+        i = index[v]
+        edges.extend((i, index[u]) for u in graphs.mask_to_set(nb >> (v + 1) << (v + 1)))
+    k = len(verts)
+    return None if len(edges) == k * (k - 1) // 2 else tuple(edges)
 
 
 def _betti_violation(table: homology.BettiTable, dim: int) -> tuple[int, int] | None:
@@ -120,11 +121,18 @@ def _betti_violation(table: homology.BettiTable, dim: int) -> tuple[int, int] | 
     return None
 
 
-def reisner_check(c: SimplicialComplex, field: FieldSpec, name: str = "complex") -> CmVerdict:
-    """Full Reisner criterion: CM iff H~_i(lk(F); field) = 0 for every face
-    F (including the empty one) and every i < dim lk(F)."""
-    if c.is_void:
-        raise ValueError("void complex")
+def reisner_check(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> CmVerdict:
+    """Full Reisner criterion on c = Ind(g): CM iff H~_i(lk(S); field) = 0
+    for every face S (including the empty one) and every i < dim lk(S).
+
+    lk(S) = Ind(G[m]) with m the vertices outside the closed
+    neighbourhoods of S.  Faces are visited in all_faces() order; a mask
+    seen before, or one whose class key (see _link_class) was seen before
+    or cannot fail, is skipped, so only one link per class is built and
+    gets a Betti table.  The link of a skipped face cannot fail or has the
+    Betti numbers of a link that passed, so the first failing face, and
+    the witness, are those of the plain scan."""
+    c = complexes.independence_complex(g)
     if c.dim <= 0:
         return CmVerdict(CM, field, (), "reisner-full")
     if c.dim == 1:
@@ -137,17 +145,23 @@ def reisner_check(c: SimplicialComplex, field: FieldSpec, name: str = "complex")
         return CmVerdict(
             NOT_CM, field, (Witness(f"lk({name}, ())", "homology", i, b),), "connectivity"
         )
-    seen: set[bytes] = set()
+    neighbors = g.neighbor_masks
+    outside = [~(nb | 1 << v) for v, nb in enumerate(neighbors)]
+    everything = (1 << g.vertex_count) - 1
+    masks: set[int] = set()
+    keys: set[tuple[tuple[int, int], ...]] = set()
     for f in c.all_faces():
+        m = everything
+        for v in f:
+            m &= outside[v]
+        if m in masks:
+            continue
+        masks.add(m)
+        key = _link_class(neighbors, m)
+        if key is None or key in keys:
+            continue
+        keys.add(key)
         lk = complexes.link(c, f)
-        if lk.dim <= 0:
-            continue
-        digest = _link_digest(lk)
-        if digest in seen:
-            continue
-        seen.add(digest)
-        if _is_cone(lk):
-            continue
         table = homology.reduced_betti_table(lk, field)
         hit = _betti_violation(table, lk.dim)
         if hit is not None:
@@ -192,10 +206,11 @@ def classify_triangular(n: int, field: FieldSpec, force_full: bool = False) -> C
     if not force_full:
         return fast
     # full route: h-screen first (it refutes D(11) with no linear algebra),
-    # then the parity-reduced homology check
-    full = _h_screen_verdict(
-        complexes.triangular_complex(n), field, f"delta({n})"
-    ) or reisner_triangular(n, field)
+    # then the parity-reduced homology check, which for n in {7, 9} is
+    # the fast route itself
+    full = _h_screen_verdict(graphs.triangular(n), field, f"delta({n})")
+    if full is None:
+        full = fast if fast.method == "reisner-parity" else reisner_triangular(n, field)
     if full.status != fast.status:
         raise AssertionError(
             f"full Reisner check disagrees with fast path for n={n}: "

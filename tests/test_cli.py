@@ -139,9 +139,18 @@ class TestFaceEnumeration:
         assert calls == {}
 
     def test_graph_classify_builds_the_complex_once(self, capsys, calls, tmp_path):
-        rc, out, _ = run(capsys, ["classify", "--graph", _k22_file(tmp_path)])
-        assert rc == 0 and "char 0: NOT_CM" in out
+        # the path a-b-c-d passes the h-screen, so the Reisner scan runs
+        path = tmp_path / "p4.txt"
+        path.write_text("a b\nb c\nc d\n")
+        rc, out, _ = run(capsys, ["classify", "--graph", str(path)])
+        assert rc == 0 and "char 0: CM (method: connectivity)" in out
         assert calls == {"independence_complex": 1, "independent_sets": 1}
+
+    def test_h_screen_refutes_without_faces(self, capsys, calls, tmp_path):
+        # Ind(K_{2,2}) is two disjoint edges, h = (1, 2, -1)
+        rc, out, _ = run(capsys, ["classify", "--graph", _k22_file(tmp_path)])
+        assert rc == 0 and "char 0: NOT_CM (method: h-screen)" in out
+        assert calls == {}
 
 
 class TestHsop:
@@ -294,6 +303,17 @@ def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, tricm.cli; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_module_entry_point():
+    # `python -m tricm` runs the CLI from a source checkout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("TRICM_CACHE_DIR", None)
+    argv = [sys.executable, "-m", "tricm", "classify", "--triangular", "5"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "char 0: CM (method: fast-path-theorem)" in done.stdout
 
 
 class TestErrorsAndExitCodes:

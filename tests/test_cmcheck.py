@@ -9,7 +9,7 @@ from tricm.cmcheck import (
     NOT_CM,
     CmVerdict,
     Witness,
-    classify_complex,
+    classify_graph,
     classify_triangular,
     h_screen,
     krull_dimension,
@@ -22,10 +22,11 @@ from tricm.homology import QQ, FieldSpec
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
 
-def naive_reisner(c, field, name="complex"):
-    """Oracle: (status, witnesses) of Reisner's criterion, with every link
-    built from its definition and its Betti table computed, in
+def naive_reisner(g, field, name="complex"):
+    """Oracle: (status, witnesses) of Reisner's criterion on Ind(g), with
+    every link built from its definition and its Betti table computed, in
     all_faces() order, without deduplication or cone shortcuts."""
+    c = complexes.independence_complex(g)
     faces = c.all_faces()
     face_sets = {frozenset(h) for h in faces}
     for f in faces:
@@ -78,65 +79,73 @@ class TestHScreen:
 
 class TestReisnerCheck:
     def test_zero_dim(self):
-        c = from_faces(4, [(0,), (1,), (2,), (3,)], close=True)
-        assert reisner_check(c, QQ).status == CM
+        # Ind(K_4) is four points
+        assert reisner_check(graphs.complete(4), QQ).status == CM
 
     def test_t4_disconnected(self):
-        v = reisner_check(triangular_complex(4), QQ)
+        v = reisner_check(graphs.triangular(4), QQ)
         assert v.status == NOT_CM
         w = v.witnesses[0]
         assert (w.kind, w.index, w.value) == ("homology", 0, 2)
 
     def test_t5_cm(self):
-        v = reisner_check(triangular_complex(5), QQ)
+        v = reisner_check(graphs.triangular(5), QQ)
         assert v.status == CM
         assert v.method == "connectivity"
 
     def test_t7_char0(self):
-        assert reisner_check(triangular_complex(7), QQ).status == CM
+        assert reisner_check(graphs.triangular(7), QQ).status == CM
 
     def test_t7_char3(self):
-        v = reisner_check(triangular_complex(7), F3)
+        v = reisner_check(graphs.triangular(7), F3)
         assert v.status == NOT_CM
         w = v.witnesses[0]
         assert (w.kind, w.index, w.value) == ("homology", 1, 1)
 
     def test_t9_char0(self):
-        v = reisner_check(triangular_complex(9), QQ)
+        v = reisner_check(graphs.triangular(9), QQ)
         assert v.status == NOT_CM
         w = v.witnesses[0]
         assert (w.kind, w.index, w.value) == ("homology", 2, 42)
 
-    def test_void_rejected(self):
-        with pytest.raises(ValueError):
-            reisner_check(complexes.VOID, QQ)
+    def test_empty_graph(self):
+        # Ind of the graph with no vertices is {∅}: never void, and CM
+        v = reisner_check(graphs.Graph(0, ()), QQ)
+        assert (v.status, v.method) == (CM, "reisner-full")
 
     def test_cone_over_disjoint_edges(self):
-        # the whole complex is a cone with apex 4, its apex link is not
-        c = from_faces(5, [(0, 1, 4), (2, 3, 4)], close=True)
-        v = reisner_check(c, QQ)
+        # Ind(g) has facets 014 and 234: the whole complex is a cone with
+        # apex 4 (isolated in g), its apex link is not
+        g = graphs.Graph(5, ((0, 2), (0, 3), (1, 2), (1, 3)))
+        v = reisner_check(g, QQ)
         assert v.status == NOT_CM
         assert v.witnesses == (Witness("lk(complex, (4,))", "homology", 0, 1),)
 
     def test_seven_face_link_is_not_a_cone(self):
-        # lk((4,)) is the path 0-1-2 plus the vertex 3: 7 faces, vertex 1
-        # in 3 = 7 // 2 of them, and no cone
-        c = from_faces(5, [(0, 1, 4), (1, 2, 4), (3, 4)], close=True)
-        v = reisner_check(c, QQ)
+        # Ind(g) has facets 014, 124 and 34; lk((4,)) is the path 0-1-2
+        # plus the vertex 3: 7 faces, vertex 1 in 3 = 7 // 2 of them, and
+        # no vertex of g - N[4] is isolated, so no cone
+        g = graphs.Graph(5, ((0, 2), (0, 3), (1, 3), (2, 3)))
+        v = reisner_check(g, QQ)
         assert v.witnesses == (Witness("lk(complex, (4,))", "homology", 0, 1),)
 
     def test_links_with_equal_f_vectors_are_not_merged(self):
-        # lk((0,)) is the path 1-4-5-3 and lk((5,)) the cycle 0-3-4 plus the
-        # vertex 2: both have f = (1, 4, 3), only the second is disconnected
-        c = from_faces(6, [(0, 1, 4), (0, 3, 5), (0, 4, 5), (2, 5), (3, 4, 5)], close=True)
-        v = reisner_check(c, QQ)
-        assert v.witnesses == (Witness("lk(complex, (5,))", "homology", 0, 1),)
+        # lk((0,)) is the tree with edges 1-4, 1-5, 1-7, 6-7 and lk((7,))
+        # the 4-cycle 0-1-3-6 plus the vertex 2: both have f = (1, 5, 4),
+        # only the second is disconnected
+        g = graphs.Graph(8, ((0, 2), (0, 3), (1, 2), (1, 6), (2, 3), (2, 4), (2, 5),
+                             (2, 6), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7)))
+        c = complexes.independence_complex(g)
+        lk0, lk7 = complexes.link(c, (0,)), complexes.link(c, (7,))
+        assert complexes.f_vector(lk0) == complexes.f_vector(lk7)
+        v = reisner_check(g, QQ)
+        assert v.witnesses == (Witness("lk(complex, (7,))", "homology", 0, 1),)
 
     def test_first_link_that_is_not_a_cone(self):
         # every link of positive dimension before lk((4, 5)) is a cone;
         # lk((4, 5)) is not, and it has two components
         g = graphs.Graph(7, ((0, 1), (0, 2), (0, 3), (0, 6), (1, 6), (2, 3)))
-        v = classify_complex(complexes.independence_complex(g), QQ, name="delta_G")
+        v = classify_graph(g, QQ, name="delta_G")
         assert v.status == NOT_CM
         assert v.witnesses == (Witness("lk(delta_G, (4, 5))", "homology", 0, 1),)
 
@@ -144,10 +153,22 @@ class TestReisnerCheck:
     def test_matches_naive_check(self, seed):
         rng = random.Random(seed)
         for _ in range(25):
-            c = complexes.independence_complex(random_graph(rng))
+            g = random_graph(rng)
             for field in (QQ, F2):
-                v = reisner_check(c, field, name="delta_G")
-                assert (v.status, v.witnesses) == naive_reisner(c, field, name="delta_G")
+                v = reisner_check(g, field, name="delta_G")
+                assert (v.status, v.witnesses) == naive_reisner(g, field, name="delta_G")
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_one_link_per_class_on_disjoint_cliques(self, monkeypatch, k):
+        # Ind(k x K_4) is the join of k four-point sets: 5^k faces, but a
+        # link is Ind(j x K_4) for one of the k + 1 values of j, and CM
+        links = []
+        real_link = complexes.link
+        monkeypatch.setattr(complexes, "link", lambda c, f: links.append(f) or real_link(c, f))
+        edges = [e for b in range(k) for e in itertools.combinations(range(4 * b, 4 * b + 4), 2)]
+        v = reisner_check(graphs.Graph(4 * k, tuple(edges)), QQ)
+        assert v.status == CM
+        assert len(links) <= k + 1
 
 
 class TestReisnerTriangular:
@@ -182,11 +203,11 @@ class TestReisnerTriangular:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_agrees_with_full_check(self, n):
-        c = triangular_complex(n)
+        g = graphs.triangular(n)
         for field in (QQ, F3):
             assert (
                 reisner_triangular(n, field).status
-                == reisner_check(c, field, f"delta({n})").status
+                == reisner_check(g, field, f"delta({n})").status
             )
 
     def test_same_parity_monotone(self):
@@ -218,6 +239,24 @@ class TestClassify:
         fast = classify_triangular(n, QQ)
         full = classify_triangular(n, QQ, force_full=True)
         assert fast.status == full.status
+
+    @pytest.mark.parametrize(
+        "n, field, most, method, witness",
+        [
+            (9, QQ, 4, "reisner-parity", Witness("delta(9)", "homology", 2, 42)),
+            (9, F3, 4, "reisner-parity", Witness("delta(7)", "homology", 1, 1)),
+            (12, QQ, 0, "h-screen", Witness("delta(12)", "h-vector", 5, -5616)),
+        ],
+    )
+    def test_full_route_builds_few_complexes(self, monkeypatch, n, field, most, method, witness):
+        # the full route's h-screen reads the graph's independence profile,
+        # and for n in {7, 9} it reuses the fast route's parity check
+        builds = []
+        real = complexes.independence_complex
+        monkeypatch.setattr(complexes, "independence_complex", lambda g: builds.append(g) or real(g))
+        v = classify_triangular(n, field, force_full=True)
+        assert v == CmVerdict(NOT_CM, field, (witness,), method)
+        assert len(builds) <= most
 
     def test_t11_full_method(self):
         v = classify_triangular(11, QQ, force_full=True)
