@@ -194,7 +194,7 @@ def _classify(args, input_desc, g, c, report):
     for ch in args.char:
         field = FieldSpec(ch)
         if triangular:
-            v = cmcheck.classify_triangular(input_desc["n"], field, force_full=args.full)
+            v = cmcheck.classify_triangular(input_desc["n"], field, force_full=args.full, g=g)
         else:
             v = cmcheck.classify_graph(g, field, name="delta_G")
         verdicts.append(_verdict_json(v))

@@ -2,8 +2,9 @@
 and the parity-reduced check specialized to triangular graphs.
 
 Check ordering follows cost: the h-vector screen needs no linear algebra,
-1-dimensional complexes reduce to connectivity, and only then is link
-homology computed, once for each class of links that could fail.
+and only then is link homology computed, once for each class of links
+that could fail (for a 1-dimensional complex that is the complex itself,
+whose Betti table counts components).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .homology import FieldSpec
 
 CM = "CM"
 NOT_CM = "NOT_CM"
-UNKNOWN = "UNKNOWN"
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,6 @@ class CmVerdict:
             "fast-path-theorem",
         ):
             raise ValueError(f"CM verdict with method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class KrullDimension:
-    value: int
 
 
 def _h_witness(f: complexes.FVector, name: str) -> Witness | None:
@@ -135,16 +130,9 @@ def reisner_check(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> C
     c = complexes.independence_complex(g)
     if c.dim <= 0:
         return CmVerdict(CM, field, (), "reisner-full")
-    if c.dim == 1:
-        # 1-dimensional: links of vertices/edges are vacuous, so CM iff
-        # the complex is connected
-        if complexes.is_connected(c):
-            return CmVerdict(CM, field, (), "connectivity")
-        table = homology.reduced_betti_table(c, field)
-        i, b = _betti_violation(table, c.dim)
-        return CmVerdict(
-            NOT_CM, field, (Witness(f"lk({name}, ())", "homology", i, b),), "connectivity"
-        )
+    # in dimension 1 only lk(∅) = c can fail, and its Betti table counts
+    # components, so the criterion is connectivity
+    method = "connectivity" if c.dim == 1 else "reisner-full"
     neighbors = g.neighbor_masks
     outside = [~(nb | 1 << v) for v, nb in enumerate(neighbors)]
     everything = (1 << g.vertex_count) - 1
@@ -167,8 +155,8 @@ def reisner_check(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> C
         if hit is not None:
             i, b = hit
             wid = f"lk({name}, {f})"
-            return CmVerdict(NOT_CM, field, (Witness(wid, "homology", i, b),), "reisner-full")
-    return CmVerdict(CM, field, (), "reisner-full")
+            return CmVerdict(NOT_CM, field, (Witness(wid, "homology", i, b),), method)
+    return CmVerdict(CM, field, (), method)
 
 
 def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
@@ -192,13 +180,17 @@ def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
     return CmVerdict(CM, field, (), "reisner-parity")
 
 
-def classify_triangular(n: int, field: FieldSpec, force_full: bool = False) -> CmVerdict:
+def classify_triangular(
+    n: int, field: FieldSpec, force_full: bool = False, g: graphs.Graph | None = None
+) -> CmVerdict:
     """Classification of T_n over the given field.
 
     Fast paths: n in {2,3,5} are CM; even n >= 4 are not (D(4) is
     disconnected and failure propagates up by parity); odd n >= 11 are not
     (negative h-vector entry of D(11) plus parity monotonicity); n in
-    {7,9} require the field-dependent homology check.
+    {7,9} require the field-dependent homology check.  The full route's
+    h-screen reads the independence profile that g = T_n keeps; T_n is
+    built here unless the caller passes the one it holds.
     """
     if n < 2:
         raise ValueError("requires n >= 2")
@@ -208,7 +200,9 @@ def classify_triangular(n: int, field: FieldSpec, force_full: bool = False) -> C
     # full route: h-screen first (it refutes D(11) with no linear algebra),
     # then the parity-reduced homology check, which for n in {7, 9} is
     # the fast route itself
-    full = _h_screen_verdict(graphs.triangular(n), field, f"delta({n})")
+    if g is None:
+        g = graphs.triangular(n)
+    full = _h_screen_verdict(g, field, f"delta({n})")
     if full is None:
         full = fast if fast.method == "reisner-parity" else reisner_triangular(n, field)
     if full.status != fast.status:
@@ -231,8 +225,3 @@ def _classify_fast(n: int, field: FieldSpec) -> CmVerdict:
         w = _h_witness(complexes.triangular_f_closed(11), "delta(11)")
         return CmVerdict(NOT_CM, field, (w,), "fast-path-theorem")
     return reisner_triangular(n, field)
-
-
-def krull_dimension(g: graphs.Graph) -> KrullDimension:
-    """Krull dimension of the edge subring = independence number."""
-    return KrullDimension(graphs.independence_number(g))

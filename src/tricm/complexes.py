@@ -1,4 +1,4 @@
-"""Simplicial complexes: independence/clique complexes, f/h-vectors, links.
+"""Simplicial complexes: independence complexes, f/h-vectors, links.
 
 A complex stores its faces grouped by dimension.  Two degenerate cases are
 distinguished: the void complex (no faces at all) and the complex {∅}
@@ -127,11 +127,6 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex(g.vertex_count, tuple(tuple(l) for l in levels))
 
 
-def clique_complex(g: Graph) -> SimplicialComplex:
-    """Complex whose faces are the cliques of g."""
-    return independence_complex(graphs.complement(g))
-
-
 def triangular_complex(n: int) -> SimplicialComplex:
     """D(n), the independence complex of T_n; void for n < 2."""
     if n < 2:
@@ -226,41 +221,6 @@ def restrict_relabel(c: SimplicialComplex) -> tuple[SimplicialComplex, dict[int,
     return from_faces(len(verts), faces), remap
 
 
-def link_triangular_witness(n: int, f) -> dict[int, int]:
-    """Explicit vertex bijection from link_{D(n)}(f) onto D(n - 2|f|).
-
-    The face f kills 2|f| symbols; surviving symbols are re-indexed
-    order-preservingly and each surviving pair is mapped to its rank in
-    the smaller triangular graph.  Under this map the link's face set
-    equals the face set of D(n - 2|f|) exactly.
-    """
-    f = tuple(sorted(f))
-    c = triangular_complex(n)
-    if not c.has_face(f):
-        raise ValueError(f"{f} is not a face of D({n})")
-    used = set()
-    for v in f:
-        used.update(graphs.rank_pair(v, n))
-    survivors = [s for s in range(1, n + 1) if s not in used]
-    srank = {s: k + 1 for k, s in enumerate(survivors)}
-    m = len(survivors)
-    mapping = {}
-    for a in range(len(survivors)):
-        for b in range(a + 1, len(survivors)):
-            i, j = survivors[a], survivors[b]
-            old = graphs.pair_rank(i, j, n)
-            mapping[old] = graphs.pair_rank(srank[i], srank[j], m)
-    return mapping
-
-
-def relabel(c: SimplicialComplex, mapping: dict[int, int], vertex_count: int) -> SimplicialComplex:
-    """Apply a vertex relabeling map to every face."""
-    faces = [tuple(sorted(mapping[v] for v in f)) for f in c.all_faces()]
-    if not faces:
-        return VOID
-    return from_faces(vertex_count, faces)
-
-
 def component_count(c: SimplicialComplex) -> int:
     """Connected components of the 1-skeleton (on the complex's vertices)."""
     if c.is_void:
@@ -282,24 +242,6 @@ def component_count(c: SimplicialComplex) -> int:
             if ru != rv:
                 parent[ru] = rv
     return len({find(v) for v in verts})
-
-
-def is_connected(c: SimplicialComplex) -> bool:
-    if c.is_void:
-        raise ValueError("void complex")
-    return component_count(c) == 1
-
-
-def serialize(c: SimplicialComplex) -> str:
-    """Text format: header "dim <d> vertices <N>", then one face per line
-    as sorted space-separated indices (the empty face is implicit)."""
-    if c.is_void:
-        return "dim -2 vertices 0\n"
-    lines = [f"dim {c.dim} vertices {c.vertex_count}"]
-    for level in c.faces_by_dim:
-        for f in level:
-            lines.append(" ".join(str(v) for v in f))
-    return "\n".join(lines) + "\n"
 
 
 def deserialize(text: str) -> SimplicialComplex:

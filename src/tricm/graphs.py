@@ -1,4 +1,4 @@
-"""Simple undirected graphs: triangular graphs, complements, independent sets.
+"""Simple undirected graphs: triangular graphs, independent sets, edge lists.
 
 Vertices are integers 0..vertex_count-1.  Vertex sets are handled as bit
 masks internally and exposed as sorted index tuples.  The triangular graph
@@ -53,11 +53,6 @@ class Graph:
             self._neighbor_masks = tuple(masks)
         return self._neighbor_masks
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.neighbor_masks[u] >> v & 1)
 
 
 def mask_to_set(mask: int) -> tuple[int, ...]:
@@ -83,16 +78,6 @@ def pair_rank(i: int, j: int, n: int) -> int:
     if not (1 <= i < j <= n):
         raise ValueError(f"bad pair ({i},{j}) for n={n}")
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
-
-
-def rank_pair(r: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_rank."""
-    for i in range(1, n):
-        block = n - i
-        if r < block:
-            return i, i + 1 + r
-        r -= block
-    raise ValueError("rank out of range")
 
 
 def pair_label(i: int, j: int) -> str:
@@ -121,15 +106,6 @@ def complete(n: int) -> Graph:
         raise ValueError("complete graph requires N >= 1")
     edges = tuple(itertools.combinations(range(n), 2))
     return Graph(n, edges)
-
-
-def complement(g: Graph) -> Graph:
-    edges = tuple(
-        (u, v)
-        for u, v in itertools.combinations(range(g.vertex_count), 2)
-        if not g.has_edge(u, v)
-    )
-    return Graph(g.vertex_count, edges, g.labels)
 
 
 def independent_sets(g: Graph, max_size: int | None = None) -> list[tuple[int, ...]]:
@@ -225,15 +201,6 @@ def is_unmixed(g: Graph) -> bool:
     return len(independence_profile(g)[1]) <= 1
 
 
-def minimal_vertex_covers(g: Graph) -> list[tuple[int, ...]]:
-    """Minimal vertex covers = complements of maximal independent sets."""
-    full = (1 << g.vertex_count) - 1
-    covers = [
-        mask_to_set(full & ~set_to_mask(s)) for s in maximal_independent_sets(g)
-    ]
-    return sorted(covers)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format: one edge "u v" per line with
     arbitrary string labels; a single label on a line declares an isolated
@@ -263,19 +230,3 @@ def parse_edge_list(text: str) -> Graph:
         else:
             raise ValueError(f"line {lineno}: expected 1 or 2 labels")
     return Graph(len(labels), tuple(sorted(edges)), tuple(labels))
-
-
-def format_edge_list(g: Graph) -> str:
-    labels = g.labels or tuple(str(v) for v in range(g.vertex_count))
-    if any(len(lab.split()) != 1 for lab in labels):
-        # labels with internal whitespace cannot survive the line format
-        labels = tuple(str(v) for v in range(g.vertex_count))
-    lines = [f"# {g.vertex_count} vertices, {len(g.edges)} edges"]
-    covered = set()
-    for u, v in g.edges:
-        lines.append(f"{labels[u]} {labels[v]}")
-        covered.update((u, v))
-    for v in range(g.vertex_count):
-        if v not in covered:
-            lines.append(labels[v])
-    return "\n".join(lines) + "\n"

@@ -74,15 +74,6 @@ class SparseMatrix:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             seen.add(key)
 
-    def to_dense(self, p: int | None = None) -> "numpy.ndarray":
-        import numpy as np
-
-        a = np.zeros((self.row_count, self.col_count), dtype=np.int64)
-        for r, c, v in self.entries:
-            a[r, c] = v % p if p else v
-        return a
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """dim H~_i for -1 <= i <= dim of the complex."""

@@ -1,5 +1,6 @@
-"""Edge ideals, explicit homogeneous systems of parameters, and regular
-sequence verification by graded Hilbert-function comparison.
+"""Explicit homogeneous systems of parameters for R/I(G), the quotient by
+the edge ideal of G, and regular sequence verification by graded
+Hilbert-function comparison.
 
 The quotient R/I(G) has the squarefree Stanley-Reisner structure: a
 monomial survives iff its support is an independent set of G.  Quotienting
@@ -52,12 +53,6 @@ Monomial = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
-class EdgeIdeal:
-    variable_count: int
-    generators: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class HsopSequence:
     """d homogeneous forms, form k of degree k, all coefficients 1."""
 
@@ -79,11 +74,6 @@ class RegularityVerdict:
     field: FieldSpec
     per_degree: tuple[tuple[int, int, int], ...]  # (degree, expected, actual)
     failing_degree: int | None = None
-
-
-def edge_ideal(g: Graph) -> EdgeIdeal:
-    """One squarefree degree-2 generator x_u x_v per edge."""
-    return EdgeIdeal(g.vertex_count, g.edges)
 
 
 def hsop(g: Graph, kind: str) -> HsopSequence:

@@ -1,0 +1,92 @@
+"""Reference code the tests compare the library against: the canonical
+identification of the links of D(n), vertex relabelling, dense boundary
+matrices, and the writers of the two text formats the CLI reads."""
+
+import numpy as np
+
+from tricm import graphs
+from tricm.complexes import VOID, SimplicialComplex, from_faces, triangular_complex
+from tricm.graphs import Graph
+from tricm.homology import SparseMatrix
+
+
+def rank_pair(r: int, n: int) -> tuple[int, int]:
+    """Inverse of graphs.pair_rank."""
+    for i in range(1, n):
+        block = n - i
+        if r < block:
+            return i, i + 1 + r
+        r -= block
+    raise ValueError("rank out of range")
+
+
+def link_triangular_witness(n: int, f) -> dict[int, int]:
+    """Explicit vertex bijection from link_{D(n)}(f) onto D(n - 2|f|).
+
+    The face f kills 2|f| symbols; surviving symbols are re-indexed
+    order-preservingly and each surviving pair is mapped to its rank in
+    the smaller triangular graph.  Under this map the link's face set
+    equals the face set of D(n - 2|f|) exactly.
+    """
+    f = tuple(sorted(f))
+    c = triangular_complex(n)
+    if not c.has_face(f):
+        raise ValueError(f"{f} is not a face of D({n})")
+    used = set()
+    for v in f:
+        used.update(rank_pair(v, n))
+    survivors = [s for s in range(1, n + 1) if s not in used]
+    srank = {s: k + 1 for k, s in enumerate(survivors)}
+    m = len(survivors)
+    mapping = {}
+    for a in range(len(survivors)):
+        for b in range(a + 1, len(survivors)):
+            i, j = survivors[a], survivors[b]
+            old = graphs.pair_rank(i, j, n)
+            mapping[old] = graphs.pair_rank(srank[i], srank[j], m)
+    return mapping
+
+
+def relabel(c: SimplicialComplex, mapping: dict[int, int], vertex_count: int) -> SimplicialComplex:
+    """Apply a vertex relabeling map to every face."""
+    faces = [tuple(sorted(mapping[v] for v in f)) for f in c.all_faces()]
+    if not faces:
+        return VOID
+    return from_faces(vertex_count, faces)
+
+
+def to_dense(m: SparseMatrix) -> np.ndarray:
+    a = np.zeros((m.row_count, m.col_count), dtype=np.int64)
+    for r, c, v in m.entries:
+        a[r, c] = v
+    return a
+
+
+def serialize(c: SimplicialComplex) -> str:
+    """Complex file text, the inverse of complexes.deserialize: header
+    "dim <d> vertices <N>", then one face per line as sorted
+    space-separated indices (the empty face is implicit)."""
+    if c.is_void:
+        return "dim -2 vertices 0\n"
+    lines = [f"dim {c.dim} vertices {c.vertex_count}"]
+    for level in c.faces_by_dim:
+        for f in level:
+            lines.append(" ".join(str(v) for v in f))
+    return "\n".join(lines) + "\n"
+
+
+def format_edge_list(g: Graph) -> str:
+    """Edge-list text, the inverse of graphs.parse_edge_list."""
+    labels = g.labels or tuple(str(v) for v in range(g.vertex_count))
+    if any(len(lab.split()) != 1 for lab in labels):
+        # labels with internal whitespace cannot survive the line format
+        labels = tuple(str(v) for v in range(g.vertex_count))
+    lines = [f"# {g.vertex_count} vertices, {len(g.edges)} edges"]
+    covered = set()
+    for u, v in g.edges:
+        lines.append(f"{labels[u]} {labels[v]}")
+        covered.update((u, v))
+    for v in range(g.vertex_count):
+        if v not in covered:
+            lines.append(labels[v])
+    return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from tricm import cli, cmcheck, complexes, graphs, homology, ideals
 from tricm.complexes import triangular_complex, triangular_f_closed
 from tricm.homology import QQ, FieldSpec
 
+from oracles import link_triangular_witness, relabel, to_dense
 from test_ideals import telescoping_check
 
 
@@ -131,9 +132,9 @@ def test_criterion_3_connectivity():
     """D(5) connected; D(4) has exactly 3 components and
     dim H~_0(D(4); Q) = 2; < 1 s."""
     with Criterion(3, 1.0):
-        assert complexes.is_connected(triangular_complex(5))
+        assert complexes.component_count(triangular_complex(5)) == 1
         c4 = triangular_complex(4)
-        assert not complexes.is_connected(c4)
+        assert complexes.component_count(c4) != 1
         assert complexes.component_count(c4) == 3
         table = homology.reduced_betti_table(c4, QQ)
         assert table.dims[1] == 2  # index 0 entry
@@ -241,8 +242,8 @@ def test_criterion_8_property_suites():
         for n in range(2, 9):
             c = triangular_complex(n)
             for i in range(0, c.dim + 1):
-                a = homology.boundary_matrix(c, i, QQ).to_dense()
-                b = homology.boundary_matrix(c, i + 1, QQ).to_dense()
+                a = to_dense(homology.boundary_matrix(c, i, QQ))
+                b = to_dense(homology.boundary_matrix(c, i + 1, QQ))
                 if a.size and b.size:
                     assert np.abs(a @ b).max() == 0
 
@@ -262,13 +263,13 @@ def test_criterion_8_property_suites():
         for n in range(2, 9):
             c = triangular_complex(n)
             for face in c.all_faces():
-                mapping = complexes.link_triangular_witness(n, face)
+                mapping = link_triangular_witness(n, face)
                 lk = complexes.link(c, face)
                 target = triangular_complex(n - 2 * len(face))
                 if target.is_void:
                     assert lk.dim == -1
                     continue
-                relabeled = complexes.relabel(lk, mapping, target.vertex_count)
+                relabeled = relabel(lk, mapping, target.vertex_count)
                 assert relabeled.faces_by_dim == target.faces_by_dim
 
         # (d) brute-force independent-set enumeration matches the closed

@@ -10,6 +10,8 @@ import pytest
 from tricm import cli, complexes, graphs, ideals
 from tricm.cli import main
 
+from oracles import serialize
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -146,6 +148,24 @@ class TestFaceEnumeration:
         assert rc == 0 and "char 0: CM (method: connectivity)" in out
         assert calls == {"independence_complex": 1, "independent_sets": 1}
 
+    def test_full_triangular_route_computes_one_profile(self, capsys, monkeypatch):
+        # the full route's h-screen reads the profile that the CLI's T_12
+        # keeps, however many fields are asked for
+        monkeypatch.delenv("TRICM_CACHE_DIR", raising=False)
+        fresh = []
+        real = graphs.independence_profile
+
+        def counted(g):
+            if g._independence_profile is None:
+                fresh.append(g)
+            return real(g)
+
+        monkeypatch.setattr(graphs, "independence_profile", counted)
+        argv = ["classify", "--triangular", "12", "--full", "--char", "0", "--char", "2"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and "char 2: NOT_CM (method: h-screen)" in out
+        assert len(fresh) == 1
+
     def test_h_screen_refutes_without_faces(self, capsys, calls, tmp_path):
         # Ind(K_{2,2}) is two disjoint edges, h = (1, 2, -1)
         rc, out, _ = run(capsys, ["classify", "--graph", _k22_file(tmp_path)])
@@ -268,7 +288,7 @@ class TestHomology:
 
     def test_complex_file(self, capsys, tmp_path):
         cpath = tmp_path / "c.cplx"
-        cpath.write_text(complexes.serialize(complexes.triangular_complex(5)))
+        cpath.write_text(serialize(complexes.triangular_complex(5)))
         rc, out, _ = run(capsys, ["homology", "--complex", str(cpath)])
         assert rc == 0
         assert "(0,0,6)" in out
@@ -372,7 +392,7 @@ class TestErrorsAndExitCodes:
 
 def _complex_file(tmp_path):
     cpath = tmp_path / "c.cplx"
-    cpath.write_text(complexes.serialize(complexes.triangular_complex(5)))
+    cpath.write_text(serialize(complexes.triangular_complex(5)))
     return str(cpath)
 
 

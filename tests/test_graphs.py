@@ -3,24 +3,22 @@ import random
 
 import pytest
 
-from tricm import graphs
 from tricm.complexes import triangular_f_closed
 from tricm.graphs import (
     Graph,
-    complement,
     complete,
     independence_number,
     independence_profile,
     independent_sets,
     is_unmixed,
     maximal_independent_sets,
-    minimal_vertex_covers,
     pair_label,
     pair_rank,
     parse_edge_list,
-    rank_pair,
     triangular,
 )
+
+from oracles import format_edge_list, rank_pair
 
 
 def triangular_recursive(n: int) -> Graph:
@@ -137,29 +135,6 @@ class TestTriangularRecursive:
 
     def test_t4_edge_count(self):
         assert len(triangular_recursive(4).edges) == 12
-
-
-class TestComplement:
-    def test_complete_to_edgeless(self):
-        assert complement(complete(5)).edges == ()
-
-    def test_t4_perfect_matching(self):
-        g = complement(triangular(4))
-        assert len(g.edges) == 3
-        seen = [v for e in g.edges for v in e]
-        assert sorted(seen) == list(range(6))  # three disjoint edges
-
-    def test_t5_petersen_shape(self):
-        g = complement(triangular(5))
-        assert g.vertex_count == 10
-        assert len(g.edges) == 15
-        degs = [bin(m).count("1") for m in g.neighbor_masks]
-        assert degs == [3] * 10
-
-    def test_involution(self):
-        for g in (triangular(5), path3(), complete(4), Graph(4, ())):
-            gg = complement(complement(g))
-            assert gg.edges == g.edges and gg.vertex_count == g.vertex_count
 
 
 class TestComplete:
@@ -300,40 +275,6 @@ class TestDerivedInvariants:
         assert not is_unmixed(path3())
         assert is_unmixed(complete(6))
 
-    def test_minimal_vertex_covers_complete(self):
-        covers = minimal_vertex_covers(complete(4))
-        assert covers == sorted(itertools.combinations(range(4), 3))
-
-    def test_minimal_vertex_covers_t4(self):
-        # D(4) is three disjoint edges, so T_4 has exactly 3 maximal
-        # independent sets and hence 3 minimal covers of size 4
-        covers = minimal_vertex_covers(triangular(4))
-        assert len(covers) == 3
-        assert all(len(c) == 4 for c in covers)
-
-    def test_minimal_vertex_covers_edgeless(self):
-        assert minimal_vertex_covers(Graph(3, ())) == [()]
-
-    def test_cover_property(self):
-        for g in (triangular(4), path3(), triangular(5)):
-            n = g.vertex_count
-            for c in minimal_vertex_covers(g):
-                cset = set(c)
-                assert all(u in cset or v in cset for u, v in g.edges)
-                for drop in c:
-                    smaller = cset - {drop}
-                    assert not all(
-                        u in smaller or v in smaller for u, v in g.edges
-                    )
-
-    def test_cover_mis_duality(self):
-        for g in (triangular(5), path3(), complete(3)):
-            full = set(range(g.vertex_count))
-            from_covers = sorted(
-                tuple(sorted(full - set(c))) for c in minimal_vertex_covers(g)
-            )
-            assert from_covers == sorted(maximal_independent_sets(g))
-
 
 class TestEdgeListFormat:
     def test_parse_basic(self):
@@ -356,12 +297,12 @@ class TestEdgeListFormat:
 
     def test_round_trip(self):
         g = parse_edge_list("a b\nb c\nd\n")
-        g2 = parse_edge_list(graphs.format_edge_list(g))
+        g2 = parse_edge_list(format_edge_list(g))
         assert g2.edges == g.edges
         assert g2.labels == g.labels
 
     def test_round_trip_whitespace_labels(self):
         g = triangular(4)
-        g2 = parse_edge_list(graphs.format_edge_list(g))
+        g2 = parse_edge_list(format_edge_list(g))
         assert g2.vertex_count == g.vertex_count
         assert g2.edges == g.edges

@@ -15,6 +15,8 @@ from tricm.homology import (
     reduced_betti_table,
 )
 
+from oracles import relabel, to_dense
+
 
 def fraction_rank(dense):
     """Oracle: plain Gaussian elimination with exact fractions."""
@@ -185,8 +187,8 @@ class TestBoundaryMatrix:
     def test_dd_zero(self, n):
         c = triangular_complex(n)
         for i in range(0, c.dim + 1):
-            a = boundary_matrix(c, i, QQ).to_dense()
-            b = boundary_matrix(c, i + 1, QQ).to_dense()
+            a = to_dense(boundary_matrix(c, i, QQ))
+            b = to_dense(boundary_matrix(c, i + 1, QQ))
             if a.size and b.size:
                 assert np.abs(a @ b).max() == 0
 
@@ -294,7 +296,7 @@ class TestBettiTables:
             perm = list(range(c.vertex_count))
             rng.shuffle(perm)
             mapping = dict(enumerate(perm))
-            c2 = complexes.relabel(c, mapping, c.vertex_count)
+            c2 = relabel(c, mapping, c.vertex_count)
             assert reduced_betti_table(c2, QQ).dims == base
             assert reduced_betti_table(c2, FieldSpec(3)).dims == reduced_betti_table(
                 c, FieldSpec(3)

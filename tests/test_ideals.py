@@ -15,7 +15,6 @@ from tricm.ideals import (
     NOT_REGULAR,
     REGULAR,
     HsopSequence,
-    edge_ideal,
     expected_artinian_hilbert,
     hilbert_function,
     hsop,
@@ -149,20 +148,6 @@ def telescoping_check(m: int) -> bool:
         if lhs != rhs:
             return False
     return True
-
-
-class TestEdgeIdeal:
-    def test_t4_generators(self):
-        ei = edge_ideal(triangular(4))
-        assert ei.variable_count == 6
-        assert len(ei.generators) == 12
-        # includes the eight pairs that share symbol 1 or symbol 4
-        listed = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (4, 5)}
-        assert listed <= set(ei.generators)
-
-    def test_matches_edges(self):
-        g = triangular(5)
-        assert edge_ideal(g).generators == g.edges
 
 
 class TestHsop:
