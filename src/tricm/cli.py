@@ -174,12 +174,11 @@ def dump_report(report: dict, args):
 
 
 def _base_report(input_desc: dict, g: graphs.Graph) -> dict:
-    counts, sizes = graphs.independence_profile(g)
     return {
         "input": input_desc,
         "graph": _graph_section(g),
-        "independence_number": str(len(counts) - 1),
-        "unmixed": len(sizes) <= 1,
+        "independence_number": str(graphs.independence_number(g)),
+        "unmixed": graphs.is_unmixed(g),
     }
 
 

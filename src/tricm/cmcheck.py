@@ -128,8 +128,6 @@ def reisner_check(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> C
     Betti numbers of a link that passed, so the first failing face, and
     the witness, are those of the plain scan."""
     c = complexes.independence_complex(g)
-    if c.dim <= 0:
-        return CmVerdict(CM, field, (), "reisner-full")
     # in dimension 1 only lk(∅) = c can fail, and its Betti table counts
     # components, so the criterion is connectivity
     method = "connectivity" if c.dim == 1 else "reisner-full"
@@ -168,7 +166,7 @@ def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
     start = 2 if n % 2 == 0 else 3
     for l in range(start, n + 1, 2):
         c = complexes.triangular_complex(l)
-        if c.is_void or c.dim <= 0:
+        if c.dim <= 0:
             continue
         table = homology.reduced_betti_table(c, field)
         hit = _betti_violation(table, c.dim)

@@ -68,21 +68,11 @@ VOID = SimplicialComplex(0, (), has_empty_face=False)
 EMPTY_ONLY = SimplicialComplex(0, (), has_empty_face=True)
 
 
-def from_faces(vertex_count: int, faces, close: bool = False) -> SimplicialComplex:
-    """Build a complex from a face list, in any order and with repeats.
-    With close=True the subset closure is generated; otherwise the input
-    must already be closed.  Raises ValueError for a vertex outside
-    0..vertex_count-1 or repeated within a face."""
+def from_faces(vertex_count: int, faces) -> SimplicialComplex:
+    """Build a complex from a face list, in any order and with repeats;
+    the list must be closed under subsets.  Raises ValueError for a vertex
+    outside 0..vertex_count-1 or repeated within a face."""
     face_set = {tuple(sorted(f)) for f in faces}
-    if close:
-        stack = list(face_set)
-        while stack:
-            f = stack.pop()
-            for k in range(len(f)):
-                sub = f[:k] + f[k + 1 :]
-                if sub not in face_set:
-                    face_set.add(sub)
-                    stack.append(sub)
     if not face_set:
         return SimplicialComplex(vertex_count, (), has_empty_face=False)
     if () not in face_set:
@@ -219,29 +209,6 @@ def restrict_relabel(c: SimplicialComplex) -> tuple[SimplicialComplex, dict[int,
     remap = {v: i for i, v in enumerate(verts)}
     faces = [tuple(remap[v] for v in f) for f in c.all_faces()]
     return from_faces(len(verts), faces), remap
-
-
-def component_count(c: SimplicialComplex) -> int:
-    """Connected components of the 1-skeleton (on the complex's vertices)."""
-    if c.is_void:
-        raise ValueError("void complex")
-    if not c.faces_by_dim:
-        return 0
-    verts = [f[0] for f in c.faces_by_dim[0]]
-    parent = {v: v for v in verts}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    if len(c.faces_by_dim) > 1:
-        for u, v in c.faces_by_dim[1]:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    return len({find(v) for v in verts})
 
 
 def deserialize(text: str) -> SimplicialComplex:

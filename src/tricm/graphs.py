@@ -73,13 +73,6 @@ def set_to_mask(vertices) -> int:
     return m
 
 
-def pair_rank(i: int, j: int, n: int) -> int:
-    """Index of the pair (i, j), 1 <= i < j <= n, in lexicographic order."""
-    if not (1 <= i < j <= n):
-        raise ValueError(f"bad pair ({i},{j}) for n={n}")
-    return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
-
-
 def pair_label(i: int, j: int) -> str:
     return f"({i} {j})"
 
@@ -108,19 +101,15 @@ def complete(n: int) -> Graph:
     return Graph(n, edges)
 
 
-def independent_sets(g: Graph, max_size: int | None = None) -> list[tuple[int, ...]]:
-    """All independent sets of g up to max_size, in lexicographic order
-    (empty set first)."""
+def independent_sets(g: Graph) -> list[tuple[int, ...]]:
+    """All independent sets of g, in lexicographic order (empty set first)."""
     n = g.vertex_count
     masks = g.neighbor_masks
-    cap = n if max_size is None else max_size
     out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
     def extend(start: int, forbidden: int):
         out.append(tuple(stack))
-        if len(stack) >= cap:
-            return
         for v in range(start, n):
             if forbidden >> v & 1:
                 continue

@@ -18,7 +18,7 @@ import heapq
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .complexes import SimplicialComplex, component_count
+from .complexes import SimplicialComplex
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -41,9 +41,6 @@ class FieldSpec:
             return
         if not (2 <= c < 2**31) or not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or a prime < 2^31, got {c}")
-
-    def __str__(self):
-        return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
 
 
 QQ = FieldSpec(0)
@@ -82,7 +79,7 @@ class BettiTable:
     dims: tuple[int, ...]
 
 
-def boundary_matrix(c: SimplicialComplex, i: int, field: FieldSpec) -> SparseMatrix:
+def boundary_matrix(c: SimplicialComplex, i: int) -> SparseMatrix:
     """Matrix of d_i : C_i -> C_{i-1} in the reduced chain complex.
 
     C_{-1} has rank 1 and d_0 is the augmentation; faces are written with
@@ -320,18 +317,6 @@ def reduced_betti_table(c: SimplicialComplex, field: FieldSpec) -> BettiTable:
     """
     if c.is_void:
         return BettiTable(field, ())
-    d = c.dim
-    if d == -1:  # the complex {∅}: H~_{-1} = field
-        return BettiTable(field, (1,))
-    counts = c.face_counts()
-
-    if d == 1:
-        # connectivity fast path: homology of a graph is field-independent
-        comps = component_count(c)
-        h0 = comps - 1
-        h1 = counts[1] - (counts[0] - comps)
-        return BettiTable(field, (0, h0, h1))
-
     # ranks[j] = rank of d_{j-1}; d_{-1} is the zero map
-    ranks = [0] + [rank(boundary_matrix(c, i, field), field) for i in range(d + 2)]
-    return BettiTable(field, _betti_from_ranks(counts, ranks))
+    ranks = [0] + [rank(boundary_matrix(c, i), field) for i in range(c.dim + 2)]
+    return BettiTable(field, _betti_from_ranks(c.face_counts(), ranks))

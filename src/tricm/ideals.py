@@ -19,18 +19,17 @@ delta survives in R/I(G) iff its support is independent, which is to say
 iff it is one of the degree-delta basis monomials; so one dictionary
 lookup both decides survival and gives the product's row.
 
-In characteristic zero the default route certifies through the large
+In characteristic zero the verifier first certifies through the large
 prime `CERT_PRIME`: ranks mod p only underestimate rational ranks while
 actual graded dimensions never drop below the expected ones, so a REGULAR
-verdict mod p pins the rational answer.  Direct rational elimination is
-available via exact=True.
+verdict mod p pins the rational answer.  Any other verdict is decided
+again by exact elimination over Z.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import complexes, graphs, homology
@@ -64,9 +63,6 @@ class HsopSequence:
     def d(self) -> int:
         return len(self.forms)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(range(1, self.d + 1))
-
 
 @dataclass(frozen=True)
 class RegularityVerdict:
@@ -89,7 +85,7 @@ def hsop(g: Graph, kind: str) -> HsopSequence:
     forms = []
     if kind == KIND_INDEPENDENT_SET_SUMS:
         by_size: dict[int, list[Monomial]] = {k: [] for k in range(1, d + 1)}
-        for s in graphs.independent_sets(g, max_size=d):
+        for s in graphs.independent_sets(g):
             if s:
                 by_size[len(s)].append(tuple((v, 1) for v in s))
         for k in range(1, d + 1):
@@ -100,16 +96,6 @@ def hsop(g: Graph, kind: str) -> HsopSequence:
     else:
         raise ValueError(f"unknown h.s.o.p. kind {kind!r}")
     return HsopSequence(kind, g.vertex_count, tuple(forms))
-
-
-def hilbert_function(g: Graph, d: int) -> int:
-    """dim_K (R/I(G))_d: monomials of degree d with independent support."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    if d == 0:
-        return 1
-    f = graphs.independence_profile(g)[0]
-    return sum(f[k] * math.comb(d - 1, k - 1) for k in range(1, len(f)))
 
 
 def expected_artinian_hilbert(h: complexes.HVector, degrees) -> tuple[int, ...]:
@@ -154,7 +140,6 @@ def verify_regular(
     seq: HsopSequence,
     field: FieldSpec,
     degree_cap: int | None = None,
-    exact: bool = False,
 ) -> RegularityVerdict:
     """Decide whether seq is a regular sequence on R/I(G) over the field.
 
@@ -194,7 +179,7 @@ def verify_regular(
     ]
     ind_sets = graphs.independent_sets(g)
     basis = functools.cache(lambda d: _basis(ind_sets, unit, d))
-    if field.characteristic == 0 and not exact:
+    if field.characteristic == 0:
         v = _verify_over(FieldSpec(CERT_PRIME), forms, basis, expected, cap)
         if v.status == REGULAR:
             return RegularityVerdict(REGULAR, field, v.per_degree, None)

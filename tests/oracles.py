@@ -1,6 +1,10 @@
 """Reference code the tests compare the library against: the canonical
-identification of the links of D(n), vertex relabelling, dense boundary
+identification of the links of D(n), vertex relabelling, subset closure,
+connected components, the Hilbert function of R/I(G), dense boundary
 matrices, and the writers of the two text formats the CLI reads."""
+
+import itertools
+import math
 
 import numpy as np
 
@@ -10,8 +14,15 @@ from tricm.graphs import Graph
 from tricm.homology import SparseMatrix
 
 
+def pair_rank(i: int, j: int, n: int) -> int:
+    """Index of the pair (i, j), 1 <= i < j <= n, in lexicographic order."""
+    if not (1 <= i < j <= n):
+        raise ValueError(f"bad pair ({i},{j}) for n={n}")
+    return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
+
+
 def rank_pair(r: int, n: int) -> tuple[int, int]:
-    """Inverse of graphs.pair_rank."""
+    """Inverse of pair_rank."""
     for i in range(1, n):
         block = n - i
         if r < block:
@@ -42,8 +53,8 @@ def link_triangular_witness(n: int, f) -> dict[int, int]:
     for a in range(len(survivors)):
         for b in range(a + 1, len(survivors)):
             i, j = survivors[a], survivors[b]
-            old = graphs.pair_rank(i, j, n)
-            mapping[old] = graphs.pair_rank(srank[i], srank[j], m)
+            old = pair_rank(i, j, n)
+            mapping[old] = pair_rank(srank[i], srank[j], m)
     return mapping
 
 
@@ -53,6 +64,49 @@ def relabel(c: SimplicialComplex, mapping: dict[int, int], vertex_count: int) ->
     if not faces:
         return VOID
     return from_faces(vertex_count, faces)
+
+
+def closure(faces) -> set[tuple[int, ...]]:
+    """Every subset of every face, as sorted tuples; empty for no faces."""
+    out = set()
+    for f in faces:
+        f = tuple(sorted(f))
+        for k in range(len(f) + 1):
+            out.update(itertools.combinations(f, k))
+    return out
+
+
+def component_count(c: SimplicialComplex) -> int:
+    """Connected components of the 1-skeleton (on the complex's vertices)."""
+    if c.is_void:
+        raise ValueError("void complex")
+    if not c.faces_by_dim:
+        return 0
+    verts = [f[0] for f in c.faces_by_dim[0]]
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    if len(c.faces_by_dim) > 1:
+        for u, v in c.faces_by_dim[1]:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+    return len({find(v) for v in verts})
+
+
+def hilbert_function(g: Graph, d: int) -> int:
+    """dim_K (R/I(G))_d: monomials of degree d with independent support."""
+    if d < 0:
+        raise ValueError("degree must be >= 0")
+    if d == 0:
+        return 1
+    f = graphs.independence_profile(g)[0]
+    return sum(f[k] * math.comb(d - 1, k - 1) for k in range(1, len(f)))
 
 
 def to_dense(m: SparseMatrix) -> np.ndarray:

@@ -8,7 +8,6 @@ from tricm.complexes import (
     FVector,
     SimplicialComplex,
     VOID,
-    component_count,
     deserialize,
     f_vector,
     from_faces,
@@ -20,7 +19,7 @@ from tricm.complexes import (
     triangular_f_closed,
 )
 
-from oracles import link_triangular_witness, relabel, serialize
+from oracles import closure, component_count, link_triangular_witness, relabel, serialize
 
 
 def brute_h(f_entries):
@@ -63,10 +62,10 @@ def brute_link(c, f):
 
 # the boundary of a tetrahedron plus a pendant edge: not a flag complex
 TETRA_BOUNDARY_PLUS_EDGE = from_faces(
-    5, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4)], close=True
+    5, closure([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (3, 4)])
 )
 # a triangle, an edge on one of its vertices and an isolated vertex
-NON_PURE = from_faces(5, [(0, 1, 2), (2, 3), (4,)], close=True)
+NON_PURE = from_faces(5, closure([(0, 1, 2), (2, 3), (4,)]))
 
 
 class TestComplexType:
@@ -96,7 +95,7 @@ class TestComplexType:
         with pytest.raises(ValueError, match="out of range"):
             from_faces(3, faces)
         with pytest.raises(ValueError, match="out of range"):
-            from_faces(3, faces[-1:], close=True)
+            from_faces(3, closure(faces[-1:]))
 
     def test_repeated_vertex(self):
         with pytest.raises(ValueError, match="repeats a vertex"):
@@ -107,11 +106,11 @@ class TestComplexType:
         assert c.faces_by_dim == (((0,), (1,), (2,), (3,)), ((0, 1), (0, 2), (1, 3)))
 
     def test_closure_generation(self):
-        c = from_faces(3, [(0, 1, 2)], close=True)
+        c = from_faces(3, closure([(0, 1, 2)]))
         assert c.face_counts() == (3, 3, 1)
 
     def test_has_face(self):
-        c = from_faces(3, [(0, 1)], close=True)
+        c = from_faces(3, closure([(0, 1)]))
         assert c.has_face(())
         assert c.has_face((1, 0))
         assert not c.has_face((2,))
@@ -148,7 +147,7 @@ class TestFVector:
         assert f_vector(triangular_complex(4)).entries == (1, 6, 3)
 
     def test_point(self):
-        c = from_faces(1, [(0,)], close=True)
+        c = from_faces(1, closure([(0,)]))
         assert f_vector(c).entries == (1, 1)
 
     def test_void_rejected(self):
@@ -311,10 +310,10 @@ class TestConnectivity:
     def test_t4_disconnected(self):
         c = triangular_complex(4)
         assert component_count(c) != 1
-        assert complexes.component_count(c) == 3
+        assert component_count(c) == 3
 
     def test_point(self):
-        assert component_count(from_faces(1, [(0,)], close=True)) == 1
+        assert component_count(from_faces(1, closure([(0,)]))) == 1
 
     def test_void_rejected(self):
         with pytest.raises(ValueError):
@@ -327,7 +326,7 @@ class TestSerialization:
             triangular_complex(4),
             triangular_complex(5),
             complexes.EMPTY_ONLY,
-            from_faces(3, [(0, 1, 2)], close=True),
+            from_faces(3, closure([(0, 1, 2)])),
         ):
             c2 = deserialize(serialize(c))
             assert c2.faces_by_dim == c.faces_by_dim

@@ -13,12 +13,11 @@ from tricm.graphs import (
     is_unmixed,
     maximal_independent_sets,
     pair_label,
-    pair_rank,
     parse_edge_list,
     triangular,
 )
 
-from oracles import format_edge_list, rank_pair
+from oracles import format_edge_list, pair_rank, rank_pair
 
 
 def triangular_recursive(n: int) -> Graph:
@@ -168,11 +167,6 @@ class TestIndependentSets:
 
     def test_complete4(self):
         assert independent_sets(complete(4)) == [(), (0,), (1,), (2,), (3,)]
-
-    def test_max_size(self):
-        sets = independent_sets(triangular(5), max_size=1)
-        assert all(len(s) <= 1 for s in sets)
-        assert len(sets) == 11
 
     def test_lexicographic_order(self):
         sets = independent_sets(triangular(5))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from tricm.homology import (
     reduced_betti_table,
 )
 
-from oracles import relabel, to_dense
+from oracles import closure, component_count, relabel, to_dense
 
 
 def fraction_rank(dense):
@@ -154,13 +155,13 @@ class TestSparseMatrix:
 class TestBoundaryMatrix:
     def test_augmentation(self):
         c = from_faces(3, [(0,), (1,), (2,), ()])
-        m = boundary_matrix(c, 0, QQ)
+        m = boundary_matrix(c, 0)
         assert (m.row_count, m.col_count) == (1, 3)
         assert all(v == 1 for _, _, v in m.entries)
 
     def test_d1_of_t4(self):
         c = triangular_complex(4)
-        m = boundary_matrix(c, 1, QQ)
+        m = boundary_matrix(c, 1)
         assert (m.row_count, m.col_count) == (6, 3)
         cols = {}
         for r, cc, v in m.entries:
@@ -169,26 +170,26 @@ class TestBoundaryMatrix:
 
     def test_d2_of_t7_shape(self):
         c = triangular_complex(7)
-        m = boundary_matrix(c, 2, QQ)
+        m = boundary_matrix(c, 2)
         assert (m.row_count, m.col_count) == (105, 105)
 
     def test_out_of_range(self):
         c = triangular_complex(4)
-        m = boundary_matrix(c, 5, QQ)
+        m = boundary_matrix(c, 5)
         assert m.col_count == 0 and not m.entries
-        m = boundary_matrix(c, -1, QQ)
+        m = boundary_matrix(c, -1)
         assert (m.row_count, m.col_count) == (0, 1)
 
     def test_void_rejected(self):
         with pytest.raises(ValueError):
-            boundary_matrix(complexes.VOID, 0, QQ)
+            boundary_matrix(complexes.VOID, 0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_dd_zero(self, n):
         c = triangular_complex(n)
         for i in range(0, c.dim + 1):
-            a = to_dense(boundary_matrix(c, i, QQ))
-            b = to_dense(boundary_matrix(c, i + 1, QQ))
+            a = to_dense(boundary_matrix(c, i))
+            b = to_dense(boundary_matrix(c, i + 1))
             if a.size and b.size:
                 assert np.abs(a @ b).max() == 0
 
@@ -198,12 +199,12 @@ class TestRank:
         assert rank(SparseMatrix(4, 5, ()), QQ) == 0
 
     def test_d1_t4(self):
-        m = boundary_matrix(triangular_complex(4), 1, QQ)
+        m = boundary_matrix(triangular_complex(4), 1)
         assert rank(m, QQ) == 3
         assert rank(m, FieldSpec(2)) == 3
 
     def test_augmentation(self):
-        m = boundary_matrix(triangular_complex(5), 0, QQ)
+        m = boundary_matrix(triangular_complex(5), 0)
         assert rank(m, QQ) == 1
 
     def test_random_against_oracles(self):
@@ -229,7 +230,7 @@ class TestRank:
         for n in range(4, 9):
             c = triangular_complex(n)
             for i in range(0, c.dim + 2):
-                m = boundary_matrix(c, i, QQ)
+                m = boundary_matrix(c, i)
                 rq = rank(m, QQ)
                 for p in (2, 3, 5):
                     assert rank(m, FieldSpec(p)) <= rq
@@ -328,11 +329,36 @@ class TestBettiTables:
 
     def test_sphere(self):
         # boundary of the 3-simplex: a 2-sphere
-        faces = [f for f in from_faces(4, [(0, 1, 2, 3)], close=True).all_faces()
-                 if len(f) < 4]
+        faces = [f for f in closure([(0, 1, 2, 3)]) if len(f) < 4]
         c = from_faces(4, faces)
         assert reduced_betti_table(c, QQ).dims == (0, 0, 0, 1)
         assert reduced_betti_table(c, FieldSpec(2)).dims == (0, 0, 0, 1)
+
+
+def one_dimensional_complexes():
+    """D(4), D(5), Ind(C_5) and 30 seeded random graphs' Ind(g) of
+    dimension 1 (independence number 2)."""
+    cycle = graphs.Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    out = [triangular_complex(4), triangular_complex(5), complexes.independence_complex(cycle)]
+    rng = random.Random(5)
+    while len(out) < 33:
+        n = rng.randint(3, 9)
+        edges = tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6)
+        g = graphs.Graph(n, edges)
+        if graphs.independence_number(g) == 2:
+            out.append(complexes.independence_complex(g))
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+def test_h0_counts_components(char):
+    # the union-find oracle against the boundary ranks: H~_0 + 1 is the
+    # number of components, and H~_1 the cycle rank f_1 - f_0 + components
+    for c in one_dimensional_complexes():
+        assert c.dim == 1
+        k = component_count(c)
+        f0, f1 = c.face_counts()
+        assert reduced_betti_table(c, FieldSpec(char)).dims == (0, k - 1, f1 - f0 + k)
 
 
 PRIMES = (2, 3, 97, 2**31 - 1)  # 2^31 - 1: products of two entries near 2^62

@@ -16,10 +16,11 @@ from tricm.ideals import (
     REGULAR,
     HsopSequence,
     expected_artinian_hilbert,
-    hilbert_function,
     hsop,
     verify_regular,
 )
+
+from oracles import hilbert_function
 
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
@@ -154,7 +155,7 @@ class TestHsop:
     def test_t4_elementary(self):
         seq = hsop(triangular(4), KIND_INDEPENDENT_SET_SUMS)
         assert seq.d == 2
-        assert seq.degrees() == (1, 2)
+        assert [{sum(p for _, p in m) for m in f} for f in seq.forms] == [{1}, {2}]
         assert len(seq.forms[0]) == 6  # all six variables
         # F_2 sums the three 2-element independent sets (disjoint pairs)
         f2 = {tuple(v for v, _ in mono) for mono in seq.forms[1]}
@@ -230,13 +231,28 @@ class TestVerifyRegular:
         assert tuple(e for _, e, _ in v.per_degree) == (1, 9, 14, 6, 0)
         assert all(e == a for _, e, a in v.per_degree)
 
-    def test_t5_elementary_exact_matches_certificate(self):
-        g = triangular(5)
-        seq = hsop(g, KIND_INDEPENDENT_SET_SUMS)
-        cert = verify_regular(g, seq, QQ)
-        exact = verify_regular(g, seq, QQ, exact=True)
-        assert cert.status == exact.status == REGULAR
-        assert cert.per_degree == exact.per_degree
+    @pytest.mark.parametrize("n,status", [(5, REGULAR), (4, NOT_REGULAR)])
+    def test_q_route_certificate_then_exact(self, monkeypatch, n, status):
+        # over Q every degree is ranked mod CERT_PRIME first; only a
+        # verdict other than REGULAR is decided again, over Q
+        chars = []
+        real = homology.rank
+
+        def spy(m, field=QQ):
+            chars.append(field.characteristic)
+            return real(m, field)
+
+        monkeypatch.setattr(homology, "rank", spy)
+        g = triangular(n)
+        v = verify_regular(g, hsop(g, KIND_INDEPENDENT_SET_SUMS), QQ)
+        assert v.status == status and v.field == QQ
+        degrees = len(v.per_degree)
+        if status == REGULAR:
+            assert chars == [ideals.CERT_PRIME] * degrees
+        else:
+            certified = len(chars) - degrees
+            assert certified > 0
+            assert chars == [ideals.CERT_PRIME] * certified + [0] * degrees
 
     def test_t4_not_regular(self):
         # T_4 is not CM, so no h.s.o.p. is regular; degree 3 exposes it
