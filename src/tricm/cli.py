@@ -82,19 +82,15 @@ def _vec(entries) -> list[str]:
     return [str(v) for v in entries]
 
 
-def _witnesses_json(ws) -> list[dict]:
-    return [
-        {"complex": w.complex_id, "kind": w.kind, "index": w.index, "value": str(w.value)}
-        for w in ws
-    ]
-
-
 def _verdict_json(v: cmcheck.CmVerdict) -> dict:
     return {
         "char": v.field.characteristic,
         "status": v.status,
         "method": v.method,
-        "witnesses": _witnesses_json(v.witnesses),
+        "witnesses": [
+            {"complex": w.complex_id, "kind": w.kind, "index": w.index, "value": str(w.value)}
+            for w in v.witnesses
+        ],
     }
 
 
@@ -188,16 +184,13 @@ def _vectors_json(f: complexes.FVector) -> dict:
 
 def _classify(args, input_desc, g, c, report):
     report.update(_vectors_json(complexes.FVector(graphs.independence_profile(g)[0])))
-    triangular = input_desc["kind"] == "triangular"
-    verdicts = []
-    for ch in args.char:
-        field = FieldSpec(ch)
-        if triangular:
-            v = cmcheck.classify_triangular(input_desc["n"], field, force_full=args.full, g=g)
-        else:
-            v = cmcheck.classify_graph(g, field, name="delta_G")
-        verdicts.append(_verdict_json(v))
-    report["verdicts"] = verdicts
+    fields = [FieldSpec(ch) for ch in args.char]
+    if input_desc["kind"] == "triangular":
+        n = input_desc["n"]
+        verdicts = [cmcheck.classify_triangular(n, f, force_full=args.full, g=g) for f in fields]
+    else:
+        verdicts = cmcheck.classify_graph(g, fields, name="delta_G")
+    report["verdicts"] = [_verdict_json(v) for v in verdicts]
 
 
 def _classify_text(args, report):

@@ -9,14 +9,18 @@ whose Betti table counts components).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import complexes, graphs, homology
 from .complexes import SimplicialComplex
+from .graphs import Graph
 from .homology import FieldSpec
 
 CM = "CM"
 NOT_CM = "NOT_CM"
+# (witness id, complex) pairs for the Reisner loop, pulled lazily
+Candidates = Iterable[tuple[str, SimplicialComplex]]
 
 
 @dataclass(frozen=True)
@@ -68,19 +72,18 @@ def h_screen(c: SimplicialComplex) -> int | None:
     return None if w is None else w.index
 
 
-def _h_screen_verdict(g: graphs.Graph, field: FieldSpec, name: str) -> CmVerdict | None:
-    """NOT_CM with the first negative h-vector entry of Ind(g) as witness,
-    or None if the h-screen passes.  The f-vector is the graph's kept
-    independence profile, so no face is enumerated."""
-    f = complexes.FVector(graphs.independence_profile(g)[0])
-    w = _h_witness(f, name)
-    return None if w is None else CmVerdict(NOT_CM, field, (w,), "h-screen")
+def _h_screen_verdicts(g: Graph, fields: list[FieldSpec], name: str) -> list[CmVerdict] | None:
+    """NOT_CM over every field with the first negative h-vector entry of
+    Ind(g) as witness, or None if the h-screen passes.  The f-vector is
+    the graph's kept independence profile, so no face is enumerated."""
+    w = _h_witness(complexes.FVector(graphs.independence_profile(g)[0]), name)
+    return None if w is None else [CmVerdict(NOT_CM, f, (w,), "h-screen") for f in fields]
 
 
-def classify_graph(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> CmVerdict:
-    """Classification of Ind(g) for an arbitrary graph: the h-screen
-    first, then the generic Reisner check."""
-    return _h_screen_verdict(g, field, name) or reisner_check(g, field, name=name)
+def classify_graph(g: Graph, fields: list[FieldSpec], name: str = "complex") -> list[CmVerdict]:
+    """Classification of Ind(g) for an arbitrary graph, one verdict per
+    field in order: the h-screen first, then the generic Reisner check."""
+    return _h_screen_verdicts(g, fields, name) or reisner_check(g, fields, name=name)
 
 
 def _link_class(neighbor_masks: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...] | None:
@@ -106,31 +109,35 @@ def _link_class(neighbor_masks: tuple[int, ...], m: int) -> tuple[tuple[int, int
     return None if len(edges) == k * (k - 1) // 2 else tuple(edges)
 
 
-def _betti_violation(table: homology.BettiTable, dim: int) -> tuple[int, int] | None:
-    """First index i < dim with dim H~_i != 0, as (i, value)."""
-    for i, b in enumerate(table.dims, start=-1):
-        if i >= dim:
+def _reisner(candidates: Candidates, fields: list[FieldSpec], method: str) -> list[CmVerdict]:
+    """One verdict per field, in order: NOT_CM with the first candidate
+    (witness id, complex) that has H~_i != 0 over that field for some
+    i < its dimension, CM if none has.  A candidate gets a Betti table over
+    each field not yet failed; none is pulled once every field has failed."""
+    failed: dict[FieldSpec, Witness] = {}
+    pending = list(fields)
+    for wid, c in candidates:
+        for field in pending:
+            dims = homology.reduced_betti_table(c, field).dims
+            hit = next(((i, b) for i, b in enumerate(dims[: c.dim + 1], start=-1) if b), None)
+            if hit is not None:
+                failed[field] = Witness(wid, "homology", *hit)
+        pending = [field for field in pending if field not in failed]
+        if not pending:
             break
-        if b != 0:
-            return i, b
-    return None
+    return [
+        CmVerdict(NOT_CM, f, (failed[f],), method) if f in failed else CmVerdict(CM, f, (), method)
+        for f in fields
+    ]
 
 
-def reisner_check(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> CmVerdict:
-    """Full Reisner criterion on c = Ind(g): CM iff H~_i(lk(S); field) = 0
-    for every face S (including the empty one) and every i < dim lk(S).
-
-    lk(S) = Ind(G[m]) with m the vertices outside the closed
-    neighbourhoods of S.  Faces are visited in all_faces() order; a mask
-    seen before, or one whose class key (see _link_class) was seen before
-    or cannot fail, is skipped, so only one link per class is built and
-    gets a Betti table.  The link of a skipped face cannot fail or has the
-    Betti numbers of a link that passed, so the first failing face, and
-    the witness, are those of the plain scan."""
-    c = complexes.independence_complex(g)
-    # in dimension 1 only lk(∅) = c can fail, and its Betti table counts
-    # components, so the criterion is connectivity
-    method = "connectivity" if c.dim == 1 else "reisner-full"
+def _class_links(g: Graph, c: SimplicialComplex, name: str) -> Candidates:
+    """(witness id, link) for the first face, in all_faces() order, of each
+    link class that could fail.  lk(S) = Ind(G[m]) with m the vertices
+    outside the closed neighbourhoods of S; a mask seen before is skipped,
+    and so is one whose class key (see _link_class) was seen before or
+    cannot fail.  A skipped link cannot fail or has the Betti numbers of an
+    earlier one, so the first failing face is that of the plain scan."""
     neighbors = g.neighbor_masks
     outside = [~(nb | 1 << v) for v, nb in enumerate(neighbors)]
     everything = (1 << g.vertex_count) - 1
@@ -147,14 +154,19 @@ def reisner_check(g: graphs.Graph, field: FieldSpec, name: str = "complex") -> C
         if key is None or key in keys:
             continue
         keys.add(key)
-        lk = complexes.link(c, f)
-        table = homology.reduced_betti_table(lk, field)
-        hit = _betti_violation(table, lk.dim)
-        if hit is not None:
-            i, b = hit
-            wid = f"lk({name}, {f})"
-            return CmVerdict(NOT_CM, field, (Witness(wid, "homology", i, b),), method)
-    return CmVerdict(CM, field, (), method)
+        yield f"lk({name}, {f})", complexes.link(c, f)
+
+
+def reisner_check(g: Graph, fields: list[FieldSpec], name: str = "complex") -> list[CmVerdict]:
+    """Full Reisner criterion on c = Ind(g), one verdict per field: CM iff
+    H~_i(lk(S); field) = 0 for every face S (including the empty one) and
+    every i < dim lk(S).  Ind(g) is built and scanned once; each link class
+    gets one Betti table per field still undecided."""
+    c = complexes.independence_complex(g)
+    # in dimension 1 only lk(∅) = c can fail, and its Betti table counts
+    # components, so the criterion is connectivity
+    method = "connectivity" if c.dim == 1 else "reisner-full"
+    return _reisner(_class_links(g, c, name), fields, method)
 
 
 def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
@@ -163,23 +175,14 @@ def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
     are examined."""
     if n < 2:
         raise ValueError("requires n >= 2")
-    start = 2 if n % 2 == 0 else 3
-    for l in range(start, n + 1, 2):
-        c = complexes.triangular_complex(l)
-        if c.dim <= 0:
-            continue
-        table = homology.reduced_betti_table(c, field)
-        hit = _betti_violation(table, c.dim)
-        if hit is not None:
-            i, b = hit
-            return CmVerdict(
-                NOT_CM, field, (Witness(f"delta({l})", "homology", i, b),), "reisner-parity"
-            )
-    return CmVerdict(CM, field, (), "reisner-parity")
+    candidates = (
+        (f"delta({l})", complexes.triangular_complex(l)) for l in range(2 + n % 2, n + 1, 2)
+    )
+    return _reisner(candidates, [field], "reisner-parity")[0]
 
 
 def classify_triangular(
-    n: int, field: FieldSpec, force_full: bool = False, g: graphs.Graph | None = None
+    n: int, field: FieldSpec, force_full: bool = False, g: Graph | None = None
 ) -> CmVerdict:
     """Classification of T_n over the given field.
 
@@ -200,9 +203,9 @@ def classify_triangular(
     # the fast route itself
     if g is None:
         g = graphs.triangular(n)
-    full = _h_screen_verdict(g, field, f"delta({n})")
-    if full is None:
-        full = fast if fast.method == "reisner-parity" else reisner_triangular(n, field)
+    [full] = _h_screen_verdicts(g, [field], f"delta({n})") or [
+        fast if fast.method == "reisner-parity" else reisner_triangular(n, field)
+    ]
     if full.status != fast.status:
         raise AssertionError(
             f"full Reisner check disagrees with fast path for n={n}: "

@@ -219,9 +219,11 @@ def deserialize(text: str) -> SimplicialComplex:
     if len(head) != 4 or head[0] != "dim" or head[2] != "vertices":
         raise ValueError("bad complex header")
     d, n = int(head[1]), int(head[3])
-    if d == -2:
-        return VOID
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}")
     faces = [tuple(int(t) for t in line.split()) for line in lines[1:]]
+    if d == -2 and not faces:
+        return VOID
     c = from_faces(n, faces + [()])
     if c.dim != d:
         raise ValueError(f"header dim {d} != actual dim {c.dim}")

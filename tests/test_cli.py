@@ -141,12 +141,15 @@ class TestFaceEnumeration:
         assert calls == {}
 
     def test_graph_classify_builds_the_complex_once(self, capsys, calls, tmp_path):
-        # the path a-b-c-d passes the h-screen, so the Reisner scan runs
+        # the path a-b-c-d passes the h-screen, so the Reisner scan runs,
+        # once for all the fields asked for
         path = tmp_path / "p4.txt"
         path.write_text("a b\nb c\nc d\n")
-        rc, out, _ = run(capsys, ["classify", "--graph", str(path)])
-        assert rc == 0 and "char 0: CM (method: connectivity)" in out
-        assert calls == {"independence_complex": 1, "independent_sets": 1}
+        for chars in ([], ["--char", "0", "--char", "2", "--char", "3"]):
+            calls.clear()
+            rc, out, _ = run(capsys, ["classify", "--graph", str(path)] + chars)
+            assert rc == 0 and "char 0: CM (method: connectivity)" in out
+            assert calls == {"independence_complex": 1, "independent_sets": 1}
 
     def test_full_triangular_route_computes_one_profile(self, capsys, monkeypatch):
         # the full route's h-screen reads the profile that the CLI's T_12
@@ -313,6 +316,17 @@ class TestHomology:
         assert out == ""
         assert err.startswith(f"error: malformed complex file: face {face} ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,error", [
+        ("dim -2 vertices 4\n0\n", "header dim -2 != actual dim 0"),
+        ("dim -1 vertices -3\n", "negative vertex count -3"),
+    ], ids=["faces-under-void-header", "negative-vertex-count"])
+    def test_complex_file_bad_header(self, capsys, tmp_path, text, error):
+        cpath = tmp_path / "c.cplx"
+        cpath.write_text(text)
+        rc, out, err = run(capsys, ["homology", "--complex", str(cpath)])
+        assert (rc, out) == (cli.EXIT_INPUT, "")
+        assert err == f"error: malformed complex file: {error}\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():

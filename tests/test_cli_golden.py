@@ -3,8 +3,9 @@ must stay byte-identical, apart from `timings` and input paths.
 
 The pinned values in golden_cli.json were recorded from the program, not
 derived from theory; they guard refactors that must not change any
-output.  `python tests/test_cli_golden.py` records them again from the
-checked-out program; do that only at a commit whose outputs are trusted.
+output.  `PYTHONPATH=src python tests/test_cli_golden.py` records them
+again from the checked-out program; do that only at a commit whose
+outputs are trusted.
 """
 
 import contextlib

@@ -38,6 +38,16 @@ def naive_reisner(g, field, name="complex"):
     return CM, ()
 
 
+def assert_matches_naive(g, fields):
+    """The verdicts of one reisner_check over all the fields, each checked
+    against the oracle for its field."""
+    verdicts = reisner_check(g, fields, name="delta_G")
+    assert [v.field for v in verdicts] == fields
+    for field, v in zip(fields, verdicts):
+        assert (v.status, v.witnesses) == naive_reisner(g, field, name="delta_G")
+    return verdicts
+
+
 def random_graph(rng):
     n = rng.randint(5, 8)
     pairs = list(itertools.combinations(range(n), 2))
@@ -95,44 +105,46 @@ class TestHScreen:
 class TestReisnerCheck:
     def test_zero_dim(self):
         # Ind(K_4) is four points
-        assert reisner_check(graphs.complete(4), QQ).status == CM
+        [v] = reisner_check(graphs.complete(4), [QQ])
+        assert v.status == CM
 
     def test_t4_disconnected(self):
-        v = reisner_check(graphs.triangular(4), QQ)
+        [v] = reisner_check(graphs.triangular(4), [QQ])
         assert v.status == NOT_CM
         w = v.witnesses[0]
         assert (w.kind, w.index, w.value) == ("homology", 0, 2)
 
     def test_t5_cm(self):
-        v = reisner_check(graphs.triangular(5), QQ)
+        [v] = reisner_check(graphs.triangular(5), [QQ])
         assert v.status == CM
         assert v.method == "connectivity"
 
     def test_t7_char0(self):
-        assert reisner_check(graphs.triangular(7), QQ).status == CM
+        [v] = reisner_check(graphs.triangular(7), [QQ])
+        assert v.status == CM
 
     def test_t7_char3(self):
-        v = reisner_check(graphs.triangular(7), F3)
+        [v] = reisner_check(graphs.triangular(7), [F3])
         assert v.status == NOT_CM
         w = v.witnesses[0]
         assert (w.kind, w.index, w.value) == ("homology", 1, 1)
 
     def test_t9_char0(self):
-        v = reisner_check(graphs.triangular(9), QQ)
+        [v] = reisner_check(graphs.triangular(9), [QQ])
         assert v.status == NOT_CM
         w = v.witnesses[0]
         assert (w.kind, w.index, w.value) == ("homology", 2, 42)
 
     def test_empty_graph(self):
         # Ind of the graph with no vertices is {∅}: never void, and CM
-        v = reisner_check(graphs.Graph(0, ()), QQ)
+        [v] = reisner_check(graphs.Graph(0, ()), [QQ])
         assert (v.status, v.method) == (CM, "reisner-full")
 
     def test_cone_over_disjoint_edges(self):
         # Ind(g) has facets 014 and 234: the whole complex is a cone with
         # apex 4 (isolated in g), its apex link is not
         g = graphs.Graph(5, ((0, 2), (0, 3), (1, 2), (1, 3)))
-        v = reisner_check(g, QQ)
+        [v] = reisner_check(g, [QQ])
         assert v.status == NOT_CM
         assert v.witnesses == (Witness("lk(complex, (4,))", "homology", 0, 1),)
 
@@ -141,7 +153,7 @@ class TestReisnerCheck:
         # plus the vertex 3: 7 faces, vertex 1 in 3 = 7 // 2 of them, and
         # no vertex of g - N[4] is isolated, so no cone
         g = graphs.Graph(5, ((0, 2), (0, 3), (1, 3), (2, 3)))
-        v = reisner_check(g, QQ)
+        [v] = reisner_check(g, [QQ])
         assert v.witnesses == (Witness("lk(complex, (4,))", "homology", 0, 1),)
 
     def test_links_with_equal_f_vectors_are_not_merged(self):
@@ -153,14 +165,14 @@ class TestReisnerCheck:
         c = complexes.independence_complex(g)
         lk0, lk7 = complexes.link(c, (0,)), complexes.link(c, (7,))
         assert complexes.f_vector(lk0) == complexes.f_vector(lk7)
-        v = reisner_check(g, QQ)
+        [v] = reisner_check(g, [QQ])
         assert v.witnesses == (Witness("lk(complex, (7,))", "homology", 0, 1),)
 
     def test_first_link_that_is_not_a_cone(self):
         # every link of positive dimension before lk((4, 5)) is a cone;
         # lk((4, 5)) is not, and it has two components
         g = graphs.Graph(7, ((0, 1), (0, 2), (0, 3), (0, 6), (1, 6), (2, 3)))
-        v = classify_graph(g, QQ, name="delta_G")
+        [v] = classify_graph(g, [QQ], name="delta_G")
         assert v.status == NOT_CM
         assert v.witnesses == (Witness("lk(delta_G, (4, 5))", "homology", 0, 1),)
 
@@ -169,9 +181,7 @@ class TestReisnerCheck:
         rng = random.Random(seed)
         for _ in range(25):
             g = random_graph(rng)
-            for field in (QQ, F2):
-                v = reisner_check(g, field, name="delta_G")
-                assert (v.status, v.witnesses) == naive_reisner(g, field, name="delta_G")
+            assert_matches_naive(g, [QQ, F2])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_dimensional_matches_naive_check(self, seed):
@@ -182,10 +192,34 @@ class TestReisnerCheck:
         cases = [graphs.triangular(4), c5] + [random_one_dimensional(rng) for _ in range(20)]
         for g in cases:
             assert complexes.independence_complex(g).dim == 1
-            for field in (QQ, F2, F3):
-                v = reisner_check(g, field, name="delta_G")
-                assert (v.status, v.witnesses) == naive_reisner(g, field, name="delta_G")
-                assert v.method == "connectivity"
+            verdicts = assert_matches_naive(g, [QQ, F2, F3])
+            assert {v.method for v in verdicts} == {"connectivity"}
+
+    def test_t7_fields_scan_past_a_failed_field(self, monkeypatch):
+        # over F_3 lk(∅) = D(7) already fails; Q and F_2 go on through
+        # both link classes and answer CM
+        tables = []
+        real = homology.reduced_betti_table
+
+        def spy(c, field):
+            tables.append(field)
+            return real(c, field)
+
+        monkeypatch.setattr(homology, "reduced_betti_table", spy)
+        verdicts = reisner_check(graphs.triangular(7), [F3, QQ, F2], name="delta_G")
+        assert [v.status for v in verdicts] == [NOT_CM, CM, CM]
+        assert tables == [F3, QQ, F2, QQ, F2]
+        monkeypatch.undo()
+        assert_matches_naive(graphs.triangular(7), [F3, QQ, F2])
+
+    @pytest.mark.parametrize("fields", [[QQ], [QQ, F3]])
+    def test_one_scan_for_all_fields(self, monkeypatch, fields):
+        # the link classes of Ind(T_7) are built once, whatever the fields
+        links = []
+        real_link = complexes.link
+        monkeypatch.setattr(complexes, "link", lambda c, f: links.append(f) or real_link(c, f))
+        reisner_check(graphs.triangular(7), fields)
+        assert len(links) == 2
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_one_link_per_class_on_disjoint_cliques(self, monkeypatch, k):
@@ -195,7 +229,7 @@ class TestReisnerCheck:
         real_link = complexes.link
         monkeypatch.setattr(complexes, "link", lambda c, f: links.append(f) or real_link(c, f))
         edges = [e for b in range(k) for e in itertools.combinations(range(4 * b, 4 * b + 4), 2)]
-        v = reisner_check(graphs.Graph(4 * k, tuple(edges)), QQ)
+        [v] = reisner_check(graphs.Graph(4 * k, tuple(edges)), [QQ])
         assert v.status == CM
         assert len(links) <= k + 1
 
@@ -233,11 +267,10 @@ class TestReisnerTriangular:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_agrees_with_full_check(self, n):
         g = graphs.triangular(n)
-        for field in (QQ, F3):
-            assert (
-                reisner_triangular(n, field).status
-                == reisner_check(g, field, f"delta({n})").status
-            )
+        verdicts = reisner_check(g, [QQ, F3], f"delta({n})")
+        assert [(v.field, v.status) for v in verdicts] == [
+            (field, reisner_triangular(n, field).status) for field in (QQ, F3)
+        ]
 
     def test_same_parity_monotone(self):
         # once NOT_CM at some n, all larger same-parity n stay NOT_CM

@@ -346,3 +346,12 @@ class TestSerialization:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             deserialize("dim 2 vertices 3\n0 1\n")
+
+    def test_faces_under_void_header(self):
+        # the void complex has no faces, so a face line contradicts dim -2
+        with pytest.raises(ValueError, match="header dim -2 != actual dim 0"):
+            deserialize("dim -2 vertices 4\n0\n")
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="negative vertex count"):
+            deserialize("dim -1 vertices -3\n")
