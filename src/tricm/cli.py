@@ -50,9 +50,9 @@ def _load_input(args) -> tuple[dict, graphs.Graph | None, complexes.SimplicialCo
             raise InputError(f"triangular graph requires n >= 2, got {n}")
         return {"kind": "triangular", "n": n}, graphs.triangular(n), None
     path = args.graph if args.graph is not None else args.complex
-    try:
-        text = open(path).read()
-    except OSError as e:
+    try:  # UTF-8 whatever the locale: the digest below hashes UTF-8 bytes
+        text = open(path, encoding="utf-8").read()
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}")
     digest = hashlib.sha256(text.encode()).hexdigest()
     if args.graph is not None:

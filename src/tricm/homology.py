@@ -4,12 +4,9 @@ Every rank runs through one sparse elimination (`_eliminate`): over Z
 for Q, fraction-free with gcd row reduction at non-unit pivots, and over
 F_p with modular arithmetic.  Pivots are chosen Markowitz-style from a
 column-to-rows index, so a pivot touches only the rows that hold its
-column.  Mod p, a Schur complement that fills in to a dense block of
-moderate size is finished by dense vectorized elimination in numpy,
-which is imported only then.  A Betti table computes each boundary rank
-once, in the field it was asked for: over Q that is the exact elimination
-over Z.  The prime of the h.s.o.p. certificate, `CERT_PRIME`, lives in
-`ideals`.
+column.  A Betti table computes each boundary rank once, in the field
+it was asked for: over Q that is the exact elimination over Z.  The
+prime of the h.s.o.p. certificate, `CERT_PRIME`, lives in `ideals`.
 """
 
 from __future__ import annotations
@@ -114,57 +111,6 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> SparseMatrix:
     return SparseMatrix(rows, cols, tuple(entries))
 
 
-# The Schur complement left by the sparse pivots goes to dense elimination
-# mod p once more than this share of its cells is nonzero, if its cell
-# count lies in this range: below it numpy does not pay for itself, above
-# it the int64 array (8 bytes a cell) would pass a 64 MB memory budget.
-_DENSE_SHARE = 0.1
-_DENSE_MIN_CELLS = 20_000
-_DENSE_MAX_CELLS = 8_000_000
-
-
-def _rank_dense_mod_p(a: "numpy.ndarray", p: int) -> int:
-    """Gaussian elimination over F_p, vectorized row updates."""
-    import numpy as np
-
-    a = a % p
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        col = a[r + 1 :, c]
-        nzrows = np.nonzero(col)[0]
-        if nzrows.size:
-            block = a[r + 1 :, c:]
-            block[nzrows] = (block[nzrows] - np.outer(col[nzrows], a[r, c:])) % p
-        r += 1
-    return r
-
-
-def _dense_rank_of_rows(rows: dict[int, dict[int, int]], cols, p: int) -> int:
-    """Rank mod p of the rows left by the sparse pivots, by dense elimination."""
-    import numpy as np
-
-    position = {c: k for k, c in enumerate(cols)}
-    ri, ci, vs = [], [], []
-    for k, row in enumerate(rows.values()):
-        ri.extend([k] * len(row))
-        ci.extend(position[c] for c in row)
-        vs.extend(row.values())
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    a[ri, ci] = vs
-    return _rank_dense_mod_p(a, p)
-
-
 def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
     """Rank of the matrix whose nonzero rows are given as {row: {column:
     value}}, over F_p, or over Z (the rank over Q) when p is 0.
@@ -175,8 +121,7 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
     skipped; its pivot column is the one held by the fewest other rows
     (Markowitz), over Z preferring a unit entry, which needs no scaling.
     A non-unit pivot takes a fraction-free step and then divides the row
-    by the gcd of its entries.  Mod p a Schur complement that has become
-    dense is finished by `_rank_dense_mod_p`.  The rows are consumed.
+    by the gcd of its entries.  The rows are consumed.
     """
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
@@ -187,19 +132,13 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
                 cols[c] = {i}
     heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
-    nnz = sum(n for n, _ in heap)
     rank = 0
     while rows:
-        if p:
-            cells = len(rows) * len(cols)
-            if _DENSE_MIN_CELLS <= cells <= _DENSE_MAX_CELLS and nnz > _DENSE_SHARE * cells:
-                return rank + _dense_rank_of_rows(rows, cols, p)
         n, i = heapq.heappop(heap)
         if len(rows.get(i, ())) != n:
             continue  # pivoted, emptied or changed since it was pushed
         prow = rows.pop(i)
         rank += 1
-        nnz -= n
         for c in prow:
             cols[c].discard(i)
         if p:
@@ -212,7 +151,6 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
         for t in cols.pop(pc):
             trow = rows[t]
             f = trow.pop(pc)
-            before = len(trow) + 1
             scale = 1
             if p:
                 g = f * inv % p
@@ -231,7 +169,6 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
                 if d > 1:
                     for c in trow:
                         trow[c] //= d
-            nnz += len(trow) - before
             if trow:
                 heapq.heappush(heap, (len(trow), t))
             else:

@@ -167,7 +167,7 @@ def verify_regular(
         exp_deg -= 1
     cap = degree_cap if degree_cap is not None else exp_deg + 2
     if cap < exp_deg + 1:
-        raise ValueError(f"degree cap {cap} below expected polynomial degree {exp_deg}")
+        raise ValueError(f"degree cap {cap} below expected polynomial degree + 1 = {exp_deg + 1}")
 
     # exponent of variable v in bits [w(n-1-v), w(n-v)): exponents stay
     # below 2^w up to the cap, so packed monomials multiply by addition

@@ -240,7 +240,8 @@ class TestHsop:
                 "--verify", "--degree-cap", str(cap - 1),
             ],
         )
-        assert rc == cli.EXIT_INPUT and "cap" in err
+        assert rc == cli.EXIT_INPUT
+        assert err == f"error: degree cap {cap - 1} below expected polynomial degree + 1 = {cap}\n"
 
     def test_degree_cap_too_small(self, capsys):
         rc, _, err = run(
@@ -330,13 +331,20 @@ class TestHomology:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy is imported only for a dense block, so runs with no dense
-    # block (every `vectors` run among them) do not pay for it
+    # the library needs only the standard library, even for the ranks mod
+    # p of T_9 and of the T_7 verify, whose Schur complements fill in most
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, tricm.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    code = (
+        "import sys, tricm.cli\n"
+        "for argv in (['classify', '--triangular', '9', '--char', '0', '--char', '1000003'],\n"
+        "             ['hsop', '--triangular', '7', '--kind', 'powersum', '--verify']):\n"
+        "    assert tricm.cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+    )
+    env.pop("TRICM_CACHE_DIR", None)  # a cache hit would rank nothing
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_module_entry_point():
@@ -373,6 +381,19 @@ class TestErrorsAndExitCodes:
         rc, _, err = run(capsys, ["classify", "--graph", "/no/such/file"])
         assert rc == cli.EXIT_INPUT
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("classify", "--graph"),
+        ("vectors", "--graph"),
+        ("homology", "--graph"),
+        ("homology", "--complex"),
+    ])
+    def test_non_utf8_file(self, capsys, tmp_path, command, flag):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe0 1\n")
+        rc, out, err = run(capsys, [command, flag, str(path)])
+        assert (rc, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith(f"error: cannot read {path}: ") and len(err.splitlines()) == 1
 
     def test_malformed_edge_list(self, capsys, tmp_path):
         gpath = tmp_path / "g.edges"

@@ -364,20 +364,6 @@ def test_h0_counts_components(char):
 PRIMES = (2, 3, 97, 2**31 - 1)  # 2^31 - 1: products of two entries near 2^62
 
 
-@pytest.fixture
-def dense_calls(monkeypatch):
-    """Shapes of the blocks handed to the dense mod-p finisher."""
-    calls = []
-    real = homology._rank_dense_mod_p
-
-    def spy(a, p):
-        calls.append(a.shape)
-        return real(a, p)
-
-    monkeypatch.setattr(homology, "_rank_dense_mod_p", spy)
-    return calls
-
-
 class TestEliminationKernel:
     """The one sparse elimination against the oracles, on seeded random
     matrices with entries in -3..3, so that non-unit pivots occur."""
@@ -388,46 +374,31 @@ class TestEliminationKernel:
             (1, 20, 30, 0.3),
             (2, 40, 25, 0.6),
             (3, 60, 80, 0.1),
-            (4, 100, 150, 0.03),  # 15000 cells: below the hand-off size
+            (4, 100, 150, 0.03),
             (5, 150, 120, 0.01),
             (6, 150, 130, 0.02),
         ],
     )
-    def test_stays_sparse(self, dense_calls, seed, rows, cols, density):
+    def test_stays_sparse(self, seed, rows, cols, density):
         dense = random_dense(random.Random(seed), rows, cols, density)
         m = sparse_of(dense)
         assert rank(m, QQ) == rank(transpose(m), QQ) == fraction_rank(dense)
         for p in PRIMES:
             expected = naive_rank_mod_p(dense, p)
             assert rank(m, FieldSpec(p)) == rank(transpose(m), FieldSpec(p)) == expected
-        assert dense_calls == []
 
     @pytest.mark.parametrize(
-        "seed,rows,cols,density,dense_primes,at_once",
-        [
-            (7, 150, 150, 0.6, PRIMES, True),
-            # entries +-2 vanish mod 2 and +-3 mod 3, so mod 2 and 3 the
-            # block never gets dense enough
-            (10, 120, 250, 0.06, (97, 2**31 - 1), False),
-            (12, 150, 200, 0.07, (97, 2**31 - 1), False),
-        ],
+        "seed,rows,cols,density",
+        [(7, 150, 150, 0.6), (10, 120, 250, 0.06), (12, 150, 200, 0.07)],
     )
-    def test_dense_hand_off(self, dense_calls, seed, rows, cols, density, dense_primes, at_once):
+    def test_dense_matrices_mod_p(self, seed, rows, cols, density):
+        # dense from the start, or after some pivots fill the Schur
+        # complement in (mod 2 and 3 less so: entries +-2 and +-3 vanish)
         dense = random_dense(random.Random(seed), rows, cols, density)
         m = sparse_of(dense)
-        whole = (max(rows, cols), min(rows, cols))  # wide matrices go transposed
         for p in PRIMES:
-            dense_calls.clear()
             expected = naive_rank_mod_p(dense, p)
-            assert rank(m, FieldSpec(p)) == expected
-            if p in dense_primes:
-                # at once the whole matrix, else the Schur complement
-                # left after some sparse pivots
-                assert len(dense_calls) == 1
-                assert (dense_calls[0] == whole) == at_once
-            else:
-                assert dense_calls == []
-            assert rank(transpose(m), FieldSpec(p)) == expected
+            assert rank(m, FieldSpec(p)) == rank(transpose(m), FieldSpec(p)) == expected
 
     @pytest.mark.parametrize(
         "seed,rows,cols,rank_bound,density",
