@@ -5,11 +5,24 @@ Check ordering follows cost: the h-vector screen needs no linear algebra,
 and only then is link homology computed, once for each class of links
 that could fail (for a 1-dimensional complex that is the complex itself,
 whose Betti table counts components).
+
+The generic scan works on the graph: lk(S) = Ind(G[m]) with m the
+vertices outside the closed neighbourhoods of S.  A link whose G[m] is
+complete or has an isolated vertex cannot fail and is dropped.  The rest
+are folded by Engström's lemma (Independence complexes of claw-free
+graphs, 2008): if N(u) ⊆ N(v), then Ind(G) ≃ Ind(G - v), so deleting such
+v keeps every reduced homology group over Z, and with it every Betti
+number over every field.  A link that folds to a graph with an isolated
+vertex is a cone and is dropped too.  The others are keyed by the edges of
+the folded graph, with one Betti table per key and field, and each link
+is tested against its own dimension α(G[m]) - 1, since links with one key
+can differ in dimension.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from . import complexes, graphs, homology
@@ -19,8 +32,10 @@ from .homology import FieldSpec
 
 CM = "CM"
 NOT_CM = "NOT_CM"
-# (witness id, complex) pairs for the Reisner loop, pulled lazily
-Candidates = Iterable[tuple[str, SimplicialComplex]]
+# the reduced Betti numbers of one complex over a field
+Tables = Callable[[FieldSpec], tuple[int, ...]]
+# (witness id, dimension, Betti numbers) for the Reisner loop, pulled lazily
+Candidates = Iterable[tuple[str, int, Tables]]
 
 
 @dataclass(frozen=True)
@@ -86,40 +101,104 @@ def classify_graph(g: Graph, fields: list[FieldSpec], name: str = "complex") -> 
     return _h_screen_verdicts(g, fields, name) or reisner_check(g, fields, name=name)
 
 
-def _link_class(neighbor_masks: tuple[int, ...], m: int) -> tuple[tuple[int, int], ...] | None:
-    """Class key of the link Ind(G[m]): the edges of G[m] relabelled
-    order-preservingly onto 0..|m|-1.  Two masks get the same key iff
-    their links are the same complex up to that relabelling, and so have
-    the same Betti numbers.  (No vertex of a keyed G[m] is isolated, so
-    the edges also fix |m|.)
+def _fold(neighbor_masks: tuple[int, ...], m: int) -> int | None:
+    """Engström's fold of G[m]: while some vertex u has N(u) ⊆ N(v) for
+    another vertex v of G[m], delete v.  Each step keeps Ind(G[m]) up to
+    homotopy (Engström 2008), so the folded mask has the same reduced
+    homology over Z.  Every v != u adjacent to all of N(u) is such a
+    vertex, and deleting one keeps N(u), so u deletes them together.
 
-    None when the link cannot fail Reisner's criterion: G[m] complete
-    (the link has dimension <= 0) or with an isolated vertex v (the link
-    is a cone with apex v, acyclic over Z)."""
+    None when a vertex is or becomes isolated: the link is then a cone
+    with that apex, acyclic over Z."""
+    changed = True
+    while changed:
+        changed = False
+        for u in graphs.mask_to_set(m):
+            if not m >> u & 1:
+                continue
+            nu = neighbor_masks[u] & m
+            if not nu:
+                return None
+            dominated = m ^ 1 << u
+            for w in graphs.mask_to_set(nu):
+                dominated &= neighbor_masks[w]
+            if dominated:
+                m ^= dominated
+                changed = True
+    return m
+
+
+def _link_class(
+    neighbor_masks: tuple[int, ...], m: int
+) -> tuple[tuple[tuple[int, int], ...], int] | None:
+    """(class key, folded mask) of the link Ind(G[m]).  The folded mask is
+    _fold(m) and the key is the edges of G[folded] relabelled
+    order-preservingly onto 0..k-1.  Two masks with the same key have
+    links with the same Betti numbers.  (No vertex of a folded G[m] is
+    isolated, so the edges also fix k.)
+
+    None when the link cannot fail Reisner's criterion: G[m] complete (the
+    link has dimension <= 0; this screen must come before the fold, which
+    can end on a complete graph from a link of any dimension) or a cone,
+    with a vertex isolated before or after the fold."""
+    verts = graphs.mask_to_set(m)
+    if all(neighbor_masks[v] & m == m ^ 1 << v for v in verts):
+        return None
+    m = _fold(neighbor_masks, m)
+    if m is None:
+        return None
     verts = graphs.mask_to_set(m)
     index = {v: i for i, v in enumerate(verts)}
     edges = []
     for v in verts:
         nb = neighbor_masks[v] & m
-        if not nb:
-            return None
         i = index[v]
         edges.extend((i, index[u]) for u in graphs.mask_to_set(nb >> (v + 1) << (v + 1)))
-    k = len(verts)
-    return None if len(edges) == k * (k - 1) // 2 else tuple(edges)
+    return tuple(edges), m
+
+
+def _alpha(neighbor_masks: tuple[int, ...], m: int, memo: dict[int, int]) -> int:
+    """α(G[m]), by branching on the lowest vertex of m; memo keeps the
+    value of every mask solved."""
+    if not m:
+        return 0
+    if m not in memo:
+        v = (m & -m).bit_length() - 1
+        rest = m ^ 1 << v
+        a = 1 + _alpha(neighbor_masks, rest & ~neighbor_masks[v], memo)
+        if neighbor_masks[v] & m:
+            a = max(a, _alpha(neighbor_masks, rest, memo))
+        memo[m] = a
+    return memo[m]
+
+
+def _restrict(c: SimplicialComplex, m: int) -> SimplicialComplex:
+    """The faces of c inside the vertex mask m, on the same vertex labels."""
+    levels = [
+        tuple(f for f in level if not graphs.set_to_mask(f) & ~m) for level in c.faces_by_dim
+    ]
+    while levels and not levels[-1]:
+        levels.pop()
+    return SimplicialComplex(c.vertex_count, tuple(levels))
+
+
+def _tables(c: SimplicialComplex) -> Tables:
+    """The reduced Betti numbers of c over a field, computed once per field."""
+    return functools.cache(lambda field: homology.reduced_betti_table(c, field).dims)
 
 
 def _reisner(candidates: Candidates, fields: list[FieldSpec], method: str) -> list[CmVerdict]:
     """One verdict per field, in order: NOT_CM with the first candidate
-    (witness id, complex) that has H~_i != 0 over that field for some
-    i < its dimension, CM if none has.  A candidate gets a Betti table over
-    each field not yet failed; none is pulled once every field has failed."""
+    (witness id, dimension d, Betti numbers) that has H~_i != 0 over that
+    field for some i < d, CM if none has.  A candidate is asked for the
+    Betti numbers over each field not yet failed; none is pulled once every
+    field has failed."""
     failed: dict[FieldSpec, Witness] = {}
     pending = list(fields)
-    for wid, c in candidates:
+    for wid, dim, tables in candidates:
         for field in pending:
-            dims = homology.reduced_betti_table(c, field).dims
-            hit = next(((i, b) for i, b in enumerate(dims[: c.dim + 1], start=-1) if b), None)
+            dims = tables(field)
+            hit = next(((i, b) for i, b in enumerate(dims[: dim + 1], start=-1) if b), None)
             if hit is not None:
                 failed[field] = Witness(wid, "homology", *hit)
         pending = [field for field in pending if field not in failed]
@@ -132,17 +211,21 @@ def _reisner(candidates: Candidates, fields: list[FieldSpec], method: str) -> li
 
 
 def _class_links(g: Graph, c: SimplicialComplex, name: str) -> Candidates:
-    """(witness id, link) for the first face, in all_faces() order, of each
-    link class that could fail.  lk(S) = Ind(G[m]) with m the vertices
-    outside the closed neighbourhoods of S; a mask seen before is skipped,
-    and so is one whose class key (see _link_class) was seen before or
-    cannot fail.  A skipped link cannot fail or has the Betti numbers of an
-    earlier one, so the first failing face is that of the plain scan."""
+    """(witness id, dimension, Betti numbers) of lk(S) for each face S, in
+    all_faces() order, whose link could fail.  lk(S) = Ind(G[m]) with m the
+    vertices outside the closed neighbourhoods of S; a mask seen before is
+    skipped, and so is one that _link_class screens out.  The links of one
+    class key share one Betti table per field, that of lk(S) restricted to
+    the folded mask for the first S of the class.  Each link is tested
+    against its own dimension α(G[m]) - 1: links of one key can differ in
+    dimension.  A skipped link cannot fail, so the first failing face is
+    that of the plain scan."""
     neighbors = g.neighbor_masks
     outside = [~(nb | 1 << v) for v, nb in enumerate(neighbors)]
     everything = (1 << g.vertex_count) - 1
     masks: set[int] = set()
-    keys: set[tuple[tuple[int, int], ...]] = set()
+    classes: dict[tuple[tuple[int, int], ...], Tables] = {}
+    alphas: dict[int, int] = {}
     for f in c.all_faces():
         m = everything
         for v in f:
@@ -150,18 +233,20 @@ def _class_links(g: Graph, c: SimplicialComplex, name: str) -> Candidates:
         if m in masks:
             continue
         masks.add(m)
-        key = _link_class(neighbors, m)
-        if key is None or key in keys:
+        link_class = _link_class(neighbors, m)
+        if link_class is None:
             continue
-        keys.add(key)
-        yield f"lk({name}, {f})", complexes.link(c, f)
+        key, folded = link_class
+        if key not in classes:
+            classes[key] = _tables(_restrict(complexes.link(c, f), folded))
+        yield f"lk({name}, {f})", _alpha(neighbors, m, alphas) - 1, classes[key]
 
 
 def reisner_check(g: Graph, fields: list[FieldSpec], name: str = "complex") -> list[CmVerdict]:
     """Full Reisner criterion on c = Ind(g), one verdict per field: CM iff
     H~_i(lk(S); field) = 0 for every face S (including the empty one) and
-    every i < dim lk(S).  Ind(g) is built and scanned once; each link class
-    gets one Betti table per field still undecided."""
+    every i < dim lk(S).  Ind(g) is built and scanned once; each folded
+    link class gets one Betti table per field still undecided."""
     c = complexes.independence_complex(g)
     # in dimension 1 only lk(∅) = c can fail, and its Betti table counts
     # components, so the criterion is connectivity
@@ -175,10 +260,13 @@ def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
     are examined."""
     if n < 2:
         raise ValueError("requires n >= 2")
-    candidates = (
-        (f"delta({l})", complexes.triangular_complex(l)) for l in range(2 + n % 2, n + 1, 2)
-    )
-    return _reisner(candidates, [field], "reisner-parity")[0]
+
+    def candidates() -> Candidates:
+        for l in range(2 + n % 2, n + 1, 2):
+            c = complexes.triangular_complex(l)
+            yield f"delta({l})", c.dim, _tables(c)
+
+    return _reisner(candidates(), [field], "reisner-parity")[0]
 
 
 def classify_triangular(

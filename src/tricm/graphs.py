@@ -94,13 +94,6 @@ def triangular(n: int) -> Graph:
     return Graph(len(pairs), tuple(edges), labels)
 
 
-def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph requires N >= 1")
-    edges = tuple(itertools.combinations(range(n), 2))
-    return Graph(n, edges)
-
-
 def independent_sets(g: Graph) -> list[tuple[int, ...]]:
     """All independent sets of g, in lexicographic order (empty set first)."""
     n = g.vertex_count

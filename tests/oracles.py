@@ -1,5 +1,5 @@
 """Reference code the tests compare the library against: the canonical
-identification of the links of D(n), vertex relabelling, subset closure,
+identification of the links of D(n), complete graphs, vertex relabelling, subset closure,
 connected components, the Hilbert function of R/I(G), dense boundary
 matrices, and the writers of the two text formats the CLI reads."""
 
@@ -56,6 +56,13 @@ def link_triangular_witness(n: int, f) -> dict[int, int]:
             old = pair_rank(i, j, n)
             mapping[old] = pair_rank(srank[i], srank[j], m)
     return mapping
+
+
+def complete(n: int) -> Graph:
+    """The complete graph K_n."""
+    if n < 1:
+        raise ValueError("complete graph requires N >= 1")
+    return Graph(n, tuple(itertools.combinations(range(n), 2)))
 
 
 def relabel(c: SimplicialComplex, mapping: dict[int, int], vertex_count: int) -> SimplicialComplex:

@@ -18,6 +18,8 @@ from tricm.cmcheck import (
 from tricm.complexes import from_faces, triangular_complex
 from tricm.homology import QQ, FieldSpec
 
+from oracles import complete
+
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
 
@@ -52,6 +54,32 @@ def random_graph(rng):
     n = rng.randint(5, 8)
     pairs = list(itertools.combinations(range(n), 2))
     return graphs.Graph(n, tuple(p for p in pairs if rng.random() < 0.35))
+
+
+def whiskered(base_vertices, base_edges):
+    """W(G): the graph G on 0..b-1 with a pendant vertex b + v on every
+    vertex v.  Villarreal (1990): Ind(W(G)) is CM over every field."""
+    b = base_vertices
+    return graphs.Graph(2 * b, tuple(base_edges) + tuple((v, b + v) for v in range(b)))
+
+
+def random_with_folds(rng):
+    """A random graph on 3..5 vertices with pendant vertices and twins
+    added: a pendant u on v has N(u) = {v}, a subset of the neighbourhood
+    of every other neighbour of v, and twins have equal neighbourhoods,
+    so both give Engström folds."""
+    n = rng.randint(3, 5)
+    edges = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+    k = n
+    for v in range(n):
+        r = rng.random()
+        if r < 0.4:
+            edges.append((v, k))
+            k += 1
+        elif r < 0.6:
+            edges.extend((u, k) for u in range(n) if (min(u, v), max(u, v)) in edges)
+            k += 1
+    return graphs.Graph(k, tuple(edges))
 
 
 def random_one_dimensional(rng):
@@ -105,7 +133,7 @@ class TestHScreen:
 class TestReisnerCheck:
     def test_zero_dim(self):
         # Ind(K_4) is four points
-        [v] = reisner_check(graphs.complete(4), [QQ])
+        [v] = reisner_check(complete(4), [QQ])
         assert v.status == CM
 
     def test_t4_disconnected(self):
@@ -176,6 +204,50 @@ class TestReisnerCheck:
         assert v.status == NOT_CM
         assert v.witnesses == (Witness("lk(delta_G, (4, 5))", "homology", 0, 1),)
 
+    def test_links_of_one_folded_key_keep_their_own_dimensions(self):
+        # g is the path 4-1-2-0-3-6-5.  lk((0,)) is Ind of the edges 1-4
+        # and 5-6, a circle of dimension 1: H~_1 = 1 is at the top, so it
+        # passes.  lk((4,)) is Ind of the path 2-0-3-6-5, of dimension 2;
+        # N(2) = {0} lies in N(3), so it folds to the edges 0-2 and 5-6,
+        # the key of lk((0,)), and its H~_1 = 1 is below the top
+        g = graphs.Graph(7, ((0, 2), (0, 3), (1, 2), (1, 4), (3, 6), (5, 6)))
+        nb = g.neighbor_masks
+        m0 = graphs.set_to_mask((1, 4, 5, 6))
+        m4 = graphs.set_to_mask((0, 2, 3, 5, 6))
+        assert cmcheck._link_class(nb, m0) == (((0, 1), (2, 3)), m0)
+        assert cmcheck._link_class(nb, m4)[0] == ((0, 1), (2, 3))
+        c = complexes.independence_complex(g)
+        assert (complexes.link(c, (0,)).dim, complexes.link(c, (4,)).dim) == (1, 2)
+        verdicts = assert_matches_naive(g, [QQ, F2, F3])
+        witness = Witness("lk(delta_G, (4,))", "homology", 1, 1)
+        assert {v.witnesses for v in verdicts} == {(witness,)}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_link_that_folds_to_a_complete_graph(self, k):
+        # K_k plus a twin k of vertex 0: Ind is the edge {0, k} and the
+        # points 1..k-1, of dimension 1 with k components.  The twins fold
+        # to K_k, which is screened out only before folding
+        g = graphs.Graph(k + 1, complete(k).edges + tuple((u, k) for u in range(1, k)))
+        full = (1 << (k + 1)) - 1
+        assert cmcheck._link_class(g.neighbor_masks, full) == (complete(k).edges, full >> 1)
+        verdicts = assert_matches_naive(g, [QQ, F2, F3])
+        witness = Witness("lk(delta_G, ())", "homology", 0, k - 1)
+        assert {v.witnesses for v in verdicts} == {(witness,)}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_heavy_graphs_match_naive_check(self, seed):
+        # whiskered graphs, whose every link folds to disjoint edges or a
+        # cone, and random graphs with pendant vertices and twins
+        rng = random.Random(seed)
+        cases = []
+        for _ in range(4):
+            b = rng.randint(2, 4)
+            pairs = list(itertools.combinations(range(b), 2))
+            cases.append(whiskered(b, rng.sample(pairs, rng.randint(1, len(pairs)))))
+        cases += [random_with_folds(rng) for _ in range(20)]
+        for g in cases:
+            assert_matches_naive(g, [QQ, F2, F3])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_naive_check(self, seed):
         rng = random.Random(seed)
@@ -232,6 +304,19 @@ class TestReisnerCheck:
         [v] = reisner_check(graphs.Graph(4 * k, tuple(edges)), [QQ])
         assert v.status == CM
         assert len(links) <= k + 1
+
+
+    @pytest.mark.parametrize("b", range(2, 9))
+    def test_whiskered_path_links_fold(self, monkeypatch, b):
+        # a link of W(G) that is not a cone is W(H) for H induced by G; an
+        # edge of H folds W(H) to a cone, so the rest are j disjoint edges,
+        # j <= b, and j = 1 is screened out as complete
+        links = []
+        real_link = complexes.link
+        monkeypatch.setattr(complexes, "link", lambda c, f: links.append(f) or real_link(c, f))
+        [v] = reisner_check(whiskered(b, [(i, i + 1) for i in range(b - 1)]), [QQ])
+        assert v.status == CM
+        assert len(links) <= b + 1
 
 
 class TestReisnerTriangular:

@@ -19,7 +19,14 @@ from tricm.complexes import (
     triangular_f_closed,
 )
 
-from oracles import closure, component_count, link_triangular_witness, relabel, serialize
+from oracles import (
+    closure,
+    complete,
+    component_count,
+    link_triangular_witness,
+    relabel,
+    serialize,
+)
 
 
 def brute_h(f_entries):
@@ -125,7 +132,7 @@ class TestIndependenceComplex:
         assert c.face_counts() == (6, 3)
 
     def test_complete(self):
-        c = independence_complex(graphs.complete(5))
+        c = independence_complex(complete(5))
         assert c.dim == 0
         assert c.face_counts() == (5,)
 

@@ -6,7 +6,6 @@ import pytest
 from tricm.complexes import triangular_f_closed
 from tricm.graphs import (
     Graph,
-    complete,
     independence_number,
     independence_profile,
     independent_sets,
@@ -17,7 +16,7 @@ from tricm.graphs import (
     triangular,
 )
 
-from oracles import format_edge_list, pair_rank, rank_pair
+from oracles import complete, format_edge_list, pair_rank, rank_pair
 
 
 def triangular_recursive(n: int) -> Graph:

@@ -6,7 +6,7 @@ import pytest
 
 from tricm import complexes, graphs, homology, ideals
 from tricm.complexes import HVector
-from tricm.graphs import Graph, complete, triangular
+from tricm.graphs import Graph, triangular
 from tricm.homology import QQ, FieldSpec, SparseMatrix
 from tricm.ideals import (
     KIND_INDEPENDENT_SET_SUMS,
@@ -20,7 +20,7 @@ from tricm.ideals import (
     verify_regular,
 )
 
-from oracles import hilbert_function
+from oracles import complete, hilbert_function
 
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
