@@ -186,8 +186,7 @@ def _classify(args, input_desc, g, c, report):
     report.update(_vectors_json(complexes.FVector(graphs.independence_profile(g)[0])))
     fields = [FieldSpec(ch) for ch in args.char]
     if input_desc["kind"] == "triangular":
-        n = input_desc["n"]
-        verdicts = [cmcheck.classify_triangular(n, f, force_full=args.full, g=g) for f in fields]
+        verdicts = cmcheck.classify_triangular(input_desc["n"], fields, force_full=args.full, g=g)
     else:
         verdicts = cmcheck.classify_graph(g, fields, name="delta_G")
     report["verdicts"] = [_verdict_json(v) for v in verdicts]

@@ -1,5 +1,6 @@
 """Cohen-Macaulay decisions: h-vector screening, the Reisner criterion,
-and the parity-reduced check specialized to triangular graphs.
+and the parity-reduced check specialized to triangular graphs, each
+taking a list of fields and giving one verdict per field, in order.
 
 Check ordering follows cost: the h-vector screen needs no linear algebra,
 and only then is link homology computed, once for each class of links
@@ -113,17 +114,21 @@ def _fold(neighbor_masks: tuple[int, ...], m: int) -> int | None:
     changed = True
     while changed:
         changed = False
-        for u in graphs.mask_to_set(m):
-            if not m >> u & 1:
-                continue
-            nu = neighbor_masks[u] & m
+        rest = m
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            nu = neighbor_masks[u.bit_length() - 1] & m
             if not nu:
                 return None
-            dominated = m ^ 1 << u
-            for w in graphs.mask_to_set(nu):
-                dominated &= neighbor_masks[w]
+            dominated = m ^ u
+            while nu:
+                w = nu & -nu
+                nu ^= w
+                dominated &= neighbor_masks[w.bit_length() - 1]
             if dominated:
                 m ^= dominated
+                rest &= m
                 changed = True
     return m
 
@@ -132,28 +137,37 @@ def _link_class(
     neighbor_masks: tuple[int, ...], m: int
 ) -> tuple[tuple[tuple[int, int], ...], int] | None:
     """(class key, folded mask) of the link Ind(G[m]).  The folded mask is
-    _fold(m) and the key is the edges of G[folded] relabelled
-    order-preservingly onto 0..k-1.  Two masks with the same key have
-    links with the same Betti numbers.  (No vertex of a folded G[m] is
-    isolated, so the edges also fix k.)
+    _fold(m) and the key is the edges of G[folded], each vertex relabelled
+    by the number of folded vertices below it.  Two masks with the same
+    key have links with the same Betti numbers.  (No vertex of a folded
+    G[m] is isolated, so the edges also fix the vertex count.)
 
     None when the link cannot fail Reisner's criterion: G[m] complete (the
     link has dimension <= 0; this screen must come before the fold, which
     can end on a complete graph from a link of any dimension) or a cone,
     with a vertex isolated before or after the fold."""
-    verts = graphs.mask_to_set(m)
-    if all(neighbor_masks[v] & m == m ^ 1 << v for v in verts):
+    rest = m
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        if neighbor_masks[v.bit_length() - 1] & m != m ^ v:
+            break
+    else:
         return None
     m = _fold(neighbor_masks, m)
     if m is None:
         return None
-    verts = graphs.mask_to_set(m)
-    index = {v: i for i, v in enumerate(verts)}
     edges = []
-    for v in verts:
-        nb = neighbor_masks[v] & m
-        i = index[v]
-        edges.extend((i, index[u]) for u in graphs.mask_to_set(nb >> (v + 1) << (v + 1)))
+    rest = m
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        i = (m & v - 1).bit_count()
+        above = neighbor_masks[v.bit_length() - 1] & rest
+        while above:
+            u = above & -above
+            above ^= u
+            edges.append((i, (m & u - 1).bit_count()))
     return tuple(edges), m
 
 
@@ -254,10 +268,10 @@ def reisner_check(g: Graph, fields: list[FieldSpec], name: str = "complex") -> l
     return _reisner(_class_links(g, c, name), fields, method)
 
 
-def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
-    """Parity-reduced Reisner check for T_n: every link of D(n) is a copy
-    of D(l) for some l <= n of the same parity, so only those complexes
-    are examined."""
+def reisner_triangular(n: int, fields: list[FieldSpec]) -> list[CmVerdict]:
+    """Parity-reduced Reisner check for T_n, one verdict per field: every
+    link of D(n) is a copy of D(l) for some l <= n of the same parity, so
+    only those complexes are examined, each built once for all fields."""
     if n < 2:
         raise ValueError("requires n >= 2")
 
@@ -266,13 +280,13 @@ def reisner_triangular(n: int, field: FieldSpec) -> CmVerdict:
             c = complexes.triangular_complex(l)
             yield f"delta({l})", c.dim, _tables(c)
 
-    return _reisner(candidates(), [field], "reisner-parity")[0]
+    return _reisner(candidates(), fields, "reisner-parity")
 
 
 def classify_triangular(
-    n: int, field: FieldSpec, force_full: bool = False, g: Graph | None = None
-) -> CmVerdict:
-    """Classification of T_n over the given field.
+    n: int, fields: list[FieldSpec], force_full: bool = False, g: Graph | None = None
+) -> list[CmVerdict]:
+    """Classification of T_n, one verdict per field in order.
 
     Fast paths: n in {2,3,5} are CM; even n >= 4 are not (D(4) is
     disconnected and failure propagates up by parity); odd n >= 11 are not
@@ -283,7 +297,7 @@ def classify_triangular(
     """
     if n < 2:
         raise ValueError("requires n >= 2")
-    fast = _classify_fast(n, field)
+    fast = _classify_fast(n, fields)
     if not force_full:
         return fast
     # full route: h-screen first (it refutes D(11) with no linear algebra),
@@ -291,26 +305,25 @@ def classify_triangular(
     # the fast route itself
     if g is None:
         g = graphs.triangular(n)
-    [full] = _h_screen_verdicts(g, [field], f"delta({n})") or [
-        fast if fast.method == "reisner-parity" else reisner_triangular(n, field)
-    ]
-    if full.status != fast.status:
+    full = _h_screen_verdicts(g, fields, f"delta({n})") or (
+        fast if n in (7, 9) else reisner_triangular(n, fields)
+    )
+    if [v.status for v in full] != [v.status for v in fast]:
         raise AssertionError(
             f"full Reisner check disagrees with fast path for n={n}: "
-            f"{full.status} vs {fast.status}"
+            f"{[v.status for v in full]} vs {[v.status for v in fast]}"
         )
     return full
 
 
-def _classify_fast(n: int, field: FieldSpec) -> CmVerdict:
+def _classify_fast(n: int, fields: list[FieldSpec]) -> list[CmVerdict]:
     if n in (2, 3, 5):
-        return CmVerdict(CM, field, (), "fast-path-theorem")
+        return [CmVerdict(CM, f, (), "fast-path-theorem") for f in fields]
     if n % 2 == 0:
         # D(4) is 1-dimensional with 3 components; same-parity monotonicity
-        return CmVerdict(
-            NOT_CM, field, (Witness("delta(4)", "homology", 0, 2),), "fast-path-theorem"
-        )
-    if n >= 11:
+        w = Witness("delta(4)", "homology", 0, 2)
+    elif n >= 11:
         w = _h_witness(complexes.triangular_f_closed(11), "delta(11)")
-        return CmVerdict(NOT_CM, field, (w,), "fast-path-theorem")
-    return reisner_triangular(n, field)
+    else:
+        return reisner_triangular(n, fields)
+    return [CmVerdict(NOT_CM, f, (w,), "fast-path-theorem") for f in fields]

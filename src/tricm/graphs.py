@@ -54,18 +54,6 @@ class Graph:
         return self._neighbor_masks
 
 
-
-def mask_to_set(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 def set_to_mask(vertices) -> int:
     m = 0
     for v in vertices:

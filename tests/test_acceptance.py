@@ -117,7 +117,7 @@ def test_criterion_2_main_classification():
             if not any(any(bouc_betti(m)[:-1]) for m in range(n, 1, -2))
         }
         assert predicted_cm == expected_cm
-        got = {n: cmcheck.classify_triangular(n, QQ) for n in range(2, 13)}
+        got = {n: v for n in range(2, 13) for v in cmcheck.classify_triangular(n, [QQ])}
         for n in range(2, 13):
             expected = cmcheck.CM if n in expected_cm else cmcheck.NOT_CM
             assert got[n].status == expected, (
@@ -158,25 +158,24 @@ def test_criterion_4_char0_reisner():
 
 
 def test_criterion_5_positive_characteristic():
-    """reisner_triangular(7, F_p) for p in {2,3,5}: CM over F_2 and F_5,
+    """reisner_triangular(7, [F_2, F_3, F_5]): CM over F_2 and F_5,
     NOT_CM over F_3 with dim H~_1(D(7); F_3) = 1, the Z/3 torsion of
     H_1(D(7); Z) read mod 3 by the universal coefficient theorem.  The
     paper claims nothing in positive characteristic.  T_9 is NOT_CM over
     all three primes, since dim H~_2(D(9); F_p) >= 42.  Budget < 60 s."""
     with Criterion(5, 60.0):
-        for p in (2, 3, 5):
-            v9 = cmcheck.reisner_triangular(9, FieldSpec(p))
+        fields = [FieldSpec(p) for p in (2, 3, 5)]
+        for v9 in cmcheck.reisner_triangular(9, fields):
             assert v9.status == cmcheck.NOT_CM, (
-                f"T_9 over F_{p}: computed {v9.status}, expected NOT_CM"
+                f"T_9 over F_{v9.field.characteristic}: computed {v9.status}, expected NOT_CM"
             )
-        for p in (2, 5):
-            v7 = cmcheck.reisner_triangular(7, FieldSpec(p))
+        v7_2, v7_3, v7_5 = cmcheck.reisner_triangular(7, fields)
+        for v7 in (v7_2, v7_5):
             assert v7.status == cmcheck.CM, (
-                f"T_7 over F_{p}: computed {v7.status}, expected CM"
+                f"T_7 over F_{v7.field.characteristic}: computed {v7.status}, expected CM"
             )
-        v7 = cmcheck.reisner_triangular(7, FieldSpec(3))
-        assert v7.status == cmcheck.NOT_CM
-        assert v7.witnesses == (cmcheck.Witness("delta(7)", "homology", 1, 1),)
+        assert v7_3.status == cmcheck.NOT_CM
+        assert v7_3.witnesses == (cmcheck.Witness("delta(7)", "homology", 1, 1),)
 
 
 def test_criterion_6_regular_sequence():

@@ -151,6 +151,14 @@ class TestFaceEnumeration:
             assert rc == 0 and "char 0: CM (method: connectivity)" in out
             assert calls == {"independence_complex": 1, "independent_sets": 1}
 
+    @pytest.mark.parametrize("p", ["3", "5"])
+    def test_triangular_classify_builds_each_complex_once(self, capsys, calls, p):
+        # D(3), D(5), D(7) and D(9) serve every field; over F_3 the scan
+        # stops at D(7), but Q still needs D(9)
+        rc, out, _ = run(capsys, ["classify", "--triangular", "9", "--char", "0", "--char", p])
+        assert rc == 0 and f"char {p}: NOT_CM (method: reisner-parity)" in out
+        assert calls["independence_complex"] == 4
+
     def test_full_triangular_route_computes_one_profile(self, capsys, monkeypatch):
         # the full route's h-screen reads the profile that the CLI's T_12
         # keeps, however many fields are asked for

@@ -3,15 +3,17 @@ must stay byte-identical, apart from `timings` and input paths.
 
 The pinned values in golden_cli.json were recorded from the program, not
 derived from theory; they guard refactors that must not change any
-output.  `PYTHONPATH=src python tests/test_cli_golden.py` records them
-again from the checked-out program; do that only at a commit whose
-outputs are trusted.
+output.  `PYTHONPATH=src python tests/test_cli_golden.py`, with no
+arguments, records them again from the checked-out program; do that only
+at a commit whose outputs are trusted.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -47,7 +49,27 @@ def test_cli_output_is_pinned(run, tmp_path, monkeypatch):
     assert got == (run["exit"], run["stdout"], run["report"])
 
 
+def test_recorder_writes_nothing_given_arguments(tmp_path):
+    # a copy of this script beside a tampered golden file, run with --help
+    script = tmp_path / Path(__file__).name
+    script.write_text(Path(__file__).read_text())
+    golden = tmp_path / GOLDEN.name
+    tampered = GOLDEN.read_bytes().replace(b'"exit": 0', b'"exit": 9', 1)
+    golden.write_bytes(tampered)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, str(script), "--help"], cwd=tmp_path, env=env, capture_output=True
+    )
+    assert proc.returncode == 2
+    assert b"usage:" in proc.stderr
+    assert golden.read_bytes() == tampered
+
+
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        print(f"usage: PYTHONPATH=src python {sys.argv[0]}  (records {GOLDEN.name})", file=sys.stderr)
+        sys.exit(2)
     os.environ.pop("TRICM_CACHE_DIR", None)
     with tempfile.TemporaryDirectory() as tmp:
         for run in SPEC["runs"]:

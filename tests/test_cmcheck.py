@@ -339,22 +339,35 @@ class TestReisnerTriangular:
         ],
     )
     def test_statuses(self, n, field, status):
-        assert reisner_triangular(n, field).status == status
+        assert [v.status for v in reisner_triangular(n, [field])] == [status]
 
     def test_t9_witness(self):
-        v = reisner_triangular(9, QQ)
+        [v] = reisner_triangular(9, [QQ])
         assert v.witnesses == (Witness("delta(9)", "homology", 2, 42),)
 
     def test_t7_char3_witness(self):
-        v = reisner_triangular(7, F3)
+        [v] = reisner_triangular(7, [F3])
         assert v.witnesses == (Witness("delta(7)", "homology", 1, 1),)
+
+    def test_scans_past_a_failed_field(self, monkeypatch):
+        # F_3 fails at D(7); the scan goes on to D(9) over Q alone
+        seen = []
+        real = homology.reduced_betti_table
+        monkeypatch.setattr(
+            homology, "reduced_betti_table", lambda c, field: seen.append(field) or real(c, field)
+        )
+        assert reisner_triangular(9, [F3, QQ]) == [
+            CmVerdict(NOT_CM, F3, (Witness("delta(7)", "homology", 1, 1),), "reisner-parity"),
+            CmVerdict(NOT_CM, QQ, (Witness("delta(9)", "homology", 2, 42),), "reisner-parity"),
+        ]
+        assert seen == [F3, QQ, F3, QQ, F3, QQ, QQ]
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_agrees_with_full_check(self, n):
         g = graphs.triangular(n)
         verdicts = reisner_check(g, [QQ, F3], f"delta({n})")
         assert [(v.field, v.status) for v in verdicts] == [
-            (field, reisner_triangular(n, field).status) for field in (QQ, F3)
+            (v.field, v.status) for v in reisner_triangular(n, [QQ, F3])
         ]
 
     def test_same_parity_monotone(self):
@@ -362,14 +375,15 @@ class TestReisnerTriangular:
         for parity_start in (2, 3):
             failed = False
             for n in range(parity_start, 12, 2):
-                s = reisner_triangular(n, QQ).status
+                [v] = reisner_triangular(n, [QQ])
+                s = v.status
                 if failed:
                     assert s == NOT_CM
                 failed = failed or s == NOT_CM
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            reisner_triangular(1, QQ)
+            reisner_triangular(1, [QQ])
 
 
 class TestClassify:
@@ -379,13 +393,21 @@ class TestClassify:
          (8, NOT_CM), (9, NOT_CM), (10, NOT_CM), (11, NOT_CM), (12, NOT_CM)],
     )
     def test_char0(self, n, status):
-        assert classify_triangular(n, QQ).status == status
+        assert [v.status for v in classify_triangular(n, [QQ])] == [status]
 
     @pytest.mark.parametrize("n", range(2, 12))
     def test_full_agrees_with_fast(self, n):
-        fast = classify_triangular(n, QQ)
-        full = classify_triangular(n, QQ, force_full=True)
+        [fast] = classify_triangular(n, [QQ])
+        [full] = classify_triangular(n, [QQ], force_full=True)
         assert fast.status == full.status
+
+    @pytest.mark.parametrize("force_full", [False, True], ids=["fast", "full"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_field_list_equals_per_field_calls(self, n, force_full):
+        fields = [QQ, F2, F3]
+        assert classify_triangular(n, fields, force_full=force_full) == [
+            v for f in fields for v in classify_triangular(n, [f], force_full=force_full)
+        ]
 
     @pytest.mark.parametrize(
         "n, field, most, method, witness",
@@ -401,28 +423,26 @@ class TestClassify:
         builds = []
         real = complexes.independence_complex
         monkeypatch.setattr(complexes, "independence_complex", lambda g: builds.append(g) or real(g))
-        v = classify_triangular(n, field, force_full=True)
-        assert v == CmVerdict(NOT_CM, field, (witness,), method)
+        v = classify_triangular(n, [field], force_full=True)
+        assert v == [CmVerdict(NOT_CM, field, (witness,), method)]
         assert len(builds) <= most
 
     def test_t11_full_method(self):
-        v = classify_triangular(11, QQ, force_full=True)
+        [v] = classify_triangular(11, [QQ], force_full=True)
         assert v.method == "h-screen"
         assert v.witnesses[0].index == 5
         assert v.witnesses[0].value == -936
 
     def test_t7_field_dependence(self):
-        assert classify_triangular(7, F2).status == CM
-        assert classify_triangular(7, F5).status == CM
-        assert classify_triangular(7, F3).status == NOT_CM
+        assert [v.status for v in classify_triangular(7, [F2, F5, F3])] == [CM, CM, NOT_CM]
 
     def test_even_witness(self):
-        v = classify_triangular(8, QQ)
+        [v] = classify_triangular(8, [QQ])
         assert v.witnesses == (Witness("delta(4)", "homology", 0, 2),)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            classify_triangular(1, QQ)
+            classify_triangular(1, [QQ])
 
 
 class TestKrullDimension:
