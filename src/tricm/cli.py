@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import cmcheck, complexes, graphs, homology, ideals
-from .homology import FieldSpec
+from .homology import QQ, FieldSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,11 +32,9 @@ class InputError(Exception):
     pass
 
 
-def _parse_char(value: str) -> int:
+def _parse_char(value: str) -> FieldSpec:
     try:
-        c = int(value)
-        FieldSpec(c)
-        return c
+        return FieldSpec(int(value))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
 
@@ -122,24 +120,29 @@ def _cache_key(input_desc: dict, g: graphs.Graph | None, args) -> str:
         "edges": list(g.edges) if g is not None else None,
         "vertices": g.vertex_count if g is not None else None,
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
+    blob = json.dumps(payload, sort_keys=True, default=vars).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def _cache_get(cachedir: str | None, key: str | None, input_desc: dict, result: str) -> dict | None:
-    """The cached report, or None on a miss.  An unreadable or corrupt
-    file is a miss and gets overwritten, and so is a body that is not a
-    report of this input holding the subcommand's result key."""
+def _body_digest(key: str, body) -> str:
+    return hashlib.sha256((key + json.dumps(body, sort_keys=True)).encode()).hexdigest()
+
+
+def _cache_get(cachedir: str | None, key: str | None) -> dict | None:
+    """The cached report, or None on a miss.  An entry is the report body
+    with a digest over the key and the body; an unreadable file, or one
+    whose digest is missing or does not match, is a miss and gets
+    overwritten."""
     if not cachedir:
         return None
     try:
         with open(os.path.join(cachedir, key + ".json")) as fh:
-            body = json.load(fh)
+            entry = json.load(fh)
     except (OSError, ValueError):
         return None
-    if not isinstance(body, dict) or body.get("input") != input_desc or result not in body:
+    if not isinstance(entry, dict) or entry.get("sha256") != _body_digest(key, entry.get("body")):
         return None
-    return body
+    return entry["body"]
 
 
 def _cache_put(cachedir: str | None, key: str | None, report: dict):
@@ -150,7 +153,7 @@ def _cache_put(cachedir: str | None, key: str | None, report: dict):
     tmp = path + f".tmp.{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
-            json.dump(body, fh, sort_keys=True)
+            json.dump({"sha256": _body_digest(key, body), "body": body}, fh, sort_keys=True)
         os.replace(tmp, path)
     except OSError as e:
         raise InputError(f"cannot write cache entry in {cachedir}: {e}")
@@ -184,11 +187,10 @@ def _vectors_json(f: complexes.FVector) -> dict:
 
 def _classify(args, input_desc, g, c, report):
     report.update(_vectors_json(complexes.FVector(graphs.independence_profile(g)[0])))
-    fields = [FieldSpec(ch) for ch in args.char]
     if input_desc["kind"] == "triangular":
-        verdicts = cmcheck.classify_triangular(input_desc["n"], fields, force_full=args.full, g=g)
+        verdicts = cmcheck.classify_triangular(input_desc["n"], args.char, force_full=args.full, g=g)
     else:
-        verdicts = cmcheck.classify_graph(g, fields, name="delta_G")
+        verdicts = cmcheck.classify_graph(g, args.char, name="delta_G")
     report["verdicts"] = [_verdict_json(v) for v in verdicts]
 
 
@@ -251,7 +253,7 @@ def _hsop(args, input_desc, g, c, report):
     try:
         seq = ideals.hsop(g, kind)
         if args.verify:
-            verdict = ideals.verify_regular(g, seq, FieldSpec(args.char), degree_cap=args.degree_cap)
+            verdict = ideals.verify_regular(g, seq, args.char, degree_cap=args.degree_cap)
     except ValueError as e:
         raise InputError(str(e))
     forms_json = []
@@ -266,7 +268,7 @@ def _hsop(args, input_desc, g, c, report):
     if args.verify:
         report["hsop"]["verify"] = {
             "status": verdict.status,
-            "char": args.char,
+            "char": args.char.characteristic,
             "failing_degree": verdict.failing_degree,
             "per_degree": [
                 {"degree": d, "expected": str(e), "actual": str(a)}
@@ -278,7 +280,7 @@ def _hsop(args, input_desc, g, c, report):
 def _hsop_text(args, report):
     lines = [f"F_{k} = {form['rendered']}" for k, form in enumerate(report["hsop"]["forms"], 1)]
     if "verify" in report["hsop"]:
-        lines.append(f"regularity over char {args.char}: {report['hsop']['verify']['status']}")
+        lines.append("regularity over char {char}: {status}".format(**report["hsop"]["verify"]))
     return lines
 
 
@@ -286,8 +288,8 @@ def _homology(args, input_desc, g, c, report):
     if c is None:
         c = complexes.independence_complex(g)
     report["betti"] = [
-        {"char": ch, "dims": _vec(homology.reduced_betti_table(c, FieldSpec(ch)).dims)}
-        for ch in args.char
+        {"char": f.characteristic, "dims": _vec(homology.reduced_betti_table(c, f).dims)}
+        for f in args.char
     ]
 
 
@@ -298,19 +300,19 @@ def _homology_text(args, report):
     ]
 
 
-# subcommand -> (compute body, text lines, result key)
+# subcommand -> (compute body, text lines)
 _COMMANDS = {
-    "classify": (_classify, _classify_text, "verdicts"),
-    "vectors": (_vectors, _vectors_text, "f_vector"),
-    "hsop": (_hsop, _hsop_text, "hsop"),
-    "homology": (_homology, _homology_text, "betti"),
+    "classify": (_classify, _classify_text),
+    "vectors": (_vectors, _vectors_text),
+    "hsop": (_hsop, _hsop_text),
+    "homology": (_homology, _homology_text),
 }
 
 
 def run(args) -> int:
     """Load the input, then take the report from the cache or compute and
     cache it, print its text lines and dump it."""
-    compute, text, result = _COMMANDS[args.command]
+    compute, text = _COMMANDS[args.command]
     input_desc, g, c = _load_input(args)
     cachedir = _cache_dir(args)
     key = None
@@ -321,7 +323,7 @@ def run(args) -> int:
             raise InputError(f"cannot create cache directory {cachedir}: {e}")
         key = _cache_key(input_desc, g, args)
     t0 = time.monotonic()
-    report = _cache_get(cachedir, key, input_desc, result)
+    report = _cache_get(cachedir, key)
     if report is None:
         report = _base_report(input_desc, g) if g is not None else {"input": input_desc}
         compute(args, input_desc, g, c, report)
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--kind", choices=sorted(_KIND_MAP), required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--char", type=_parse_char, default=0)
+    p.add_argument("--char", type=_parse_char, default=QQ)
     p.add_argument("--degree-cap", type=int, default=None)
 
     p = sub.add_parser("homology", help="reduced Betti table")
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command in ("classify", "homology"):
-        args.char = sorted(set(args.char or [0]))
+        args.char = sorted(set(args.char or [QQ]), key=lambda f: f.characteristic)
     try:
         rc = run(args)
     except InputError as e:

@@ -106,15 +106,8 @@ def _check_closed(c: SimplicialComplex):
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Complex whose faces are the independent sets of g."""
-    faces = graphs.independent_sets(g)
-    maxdim = max(len(f) for f in faces) - 1
-    if maxdim < 0:
-        return SimplicialComplex(g.vertex_count, ())
-    levels = [[] for _ in range(maxdim + 1)]
-    for f in faces:
-        if f:
-            levels[len(f) - 1].append(f)
-    return SimplicialComplex(g.vertex_count, tuple(tuple(l) for l in levels))
+    levels = graphs.independent_sets(g)
+    return SimplicialComplex(g.vertex_count, tuple(map(tuple, levels[1:])))
 
 
 def triangular_complex(n: int) -> SimplicialComplex:

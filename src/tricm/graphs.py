@@ -82,39 +82,45 @@ def triangular(n: int) -> Graph:
     return Graph(len(pairs), tuple(edges), labels)
 
 
-def independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    """All independent sets of g, in lexicographic order (empty set first)."""
-    n = g.vertex_count
-    masks = g.neighbor_masks
-    out: list[tuple[int, ...]] = []
-    stack: list[int] = []
-
-    def extend(start: int, forbidden: int):
-        out.append(tuple(stack))
-        for v in range(start, n):
-            if forbidden >> v & 1:
-                continue
-            stack.append(v)
-            extend(v + 1, forbidden | masks[v])
-            stack.pop()
-
-    extend(0, 0)
-    return out
+def independent_sets(g: Graph) -> list[list[tuple[int, ...]]]:
+    """The independent sets of g grouped by size: levels[k] lists those of
+    size k in lexicographic order, for k = 0..alpha(g).  The level walk of
+    `independence_profile`, over (set, candidates) pairs; taking the
+    lowest candidate first keeps every level lexicographic."""
+    non_neighbors = [~m for m in g.neighbor_masks]
+    levels = [[()]]
+    frontier = [((), (1 << g.vertex_count) - 1)] if g.vertex_count else []
+    while frontier:
+        level, next_frontier = [], []
+        for s, cand in frontier:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                child, child_cand = s + (v,), cand & non_neighbors[v]
+                level.append(child)
+                if child_cand:
+                    next_frontier.append((child, child_cand))
+        levels.append(level)
+        frontier = next_frontier
+    return levels
 
 
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    """Inclusion-maximal independent sets, in lexicographic order."""
+    """Inclusion-maximal independent sets, in level order: by size, then
+    lexicographic."""
     # a set is maximal iff the closed neighbourhoods of its vertices
     # cover the graph
     closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
     full = (1 << g.vertex_count) - 1
     out = []
-    for s in independent_sets(g):
-        covered = 0
-        for v in s:
-            covered |= closed[v]
-        if covered == full:
-            out.append(s)
+    for level in independent_sets(g):
+        for s in level:
+            covered = 0
+            for v in s:
+                covered |= closed[v]
+            if covered == full:
+                out.append(s)
     return out
 
 

@@ -84,12 +84,8 @@ def hsop(g: Graph, kind: str) -> HsopSequence:
         raise ValueError("graph has no vertices")
     forms = []
     if kind == KIND_INDEPENDENT_SET_SUMS:
-        by_size: dict[int, list[Monomial]] = {k: [] for k in range(1, d + 1)}
-        for s in graphs.independent_sets(g):
-            if s:
-                by_size[len(s)].append(tuple((v, 1) for v in s))
-        for k in range(1, d + 1):
-            forms.append(tuple(by_size[k]))
+        for level in graphs.independent_sets(g)[1:]:
+            forms.append(tuple(tuple((v, 1) for v in s) for s in level))
     elif kind == KIND_POWER_SUMS:
         for k in range(1, d + 1):
             forms.append(tuple(((v, k),) for v in range(g.vertex_count)))
@@ -117,20 +113,22 @@ def expected_artinian_hilbert(h: complexes.HVector, degrees) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _basis(ind_sets, unit, degree: int) -> dict[int, int]:
+def _basis(levels, unit, degree: int) -> dict[int, int]:
     """The packed monomials of the given degree whose support is an
     independent set, in increasing order, each mapped to its position.
 
-    A monomial with support s is the product of s with a multiset of
-    degree - |s| further variables from s."""
+    `levels` are the independent sets grouped by size, as
+    `graphs.independent_sets` gives them; only the sets of size at most
+    the degree are read.  A monomial with support s is the product of s
+    with a multiset of degree - |s| further variables from s."""
     out = []
-    for s in ind_sets:
-        if len(s) <= degree:
+    for size, level in enumerate(levels[: degree + 1]):
+        for s in level:
             units = [unit[v] for v in s]
             base = sum(units)
             out.extend(
                 base + sum(extra)
-                for extra in itertools.combinations_with_replacement(units, degree - len(s))
+                for extra in itertools.combinations_with_replacement(units, degree - size)
             )
     return {m: i for i, m in enumerate(sorted(out))}
 
@@ -177,8 +175,8 @@ def verify_regular(
         (fdeg, [sum(p * unit[v] for v, p in t) for t in f])
         for f, fdeg in zip(seq.forms, form_degrees)
     ]
-    ind_sets = graphs.independent_sets(g)
-    basis = functools.cache(lambda d: _basis(ind_sets, unit, d))
+    levels = graphs.independent_sets(g)
+    basis = functools.cache(lambda d: _basis(levels, unit, d))
     if field.characteristic == 0:
         v = _verify_over(FieldSpec(CERT_PRIME), forms, basis, expected, cap)
         if v.status == REGULAR:

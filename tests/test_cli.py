@@ -487,7 +487,7 @@ class TestCache:
         miss, hit = self.run_twice(capsys, tmp_path, argv)
         assert miss == hit
         assert miss[1].startswith("f = (1,15,45,15)")
-        assert load_json(entry) == miss[2]  # rewritten by the miss
+        assert load_json(entry)["body"] == miss[2]  # rewritten by the miss
 
     @pytest.mark.parametrize(
         "body",
@@ -502,7 +502,31 @@ class TestCache:
         entry.write_text(body)
         miss, hit = self.run_twice(capsys, tmp_path, argv)
         assert miss == hit == expected
-        assert load_json(entry) == expected[2]  # rewritten by the miss
+        assert load_json(entry)["body"] == expected[2]  # rewritten by the miss
+
+    @pytest.mark.parametrize(
+        "tamper", ["verdicts-number", "no-status", "no-f-vector", "h-vector-digit"]
+    )
+    def test_tampered_body_is_a_miss(self, capsys, tmp_path, tamper):
+        """A stored body edited so that it still parses as JSON fails its
+        digest: the run recomputes the uncached report and rewrites it."""
+        argv = ["classify", "--triangular", "5"]
+        expected, _ = self.run_twice(capsys, tmp_path, argv)
+        (entry,) = (tmp_path / "cache").iterdir()
+        stored = load_json(entry)
+        body = stored["body"]
+        if tamper == "verdicts-number":
+            body["verdicts"] = 5
+        elif tamper == "no-status":
+            del body["verdicts"][0]["status"]
+        elif tamper == "no-f-vector":
+            del body["f_vector"]
+        else:
+            body["h_vector"][1] = str(int(body["h_vector"][1]) + 1)
+        entry.write_text(json.dumps(stored))
+        miss, hit = self.run_twice(capsys, tmp_path, argv)
+        assert miss == hit == expected
+        assert load_json(entry)["body"] == expected[2]  # rewritten by the miss
 
     def test_source_change_changes_key(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -524,6 +548,13 @@ class TestCache:
             ],
         )
         assert len(list(cache.iterdir())) == 3
+
+    def test_cache_keys_distinguish_characteristics(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        for char in ("2", "3"):
+            argv = ["classify", "--triangular", "5", "--char", char, "--cache-dir", str(cache)]
+            run(capsys, argv)
+        assert len(list(cache.iterdir())) == 2
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "envcache"

@@ -151,26 +151,43 @@ class TestComplete:
 class TestIndependentSets:
     def test_edgeless(self):
         g = Graph(3, ())
-        assert len(independent_sets(g)) == 8
+        assert [len(level) for level in independent_sets(g)] == [1, 3, 3, 1]
 
     def test_matches_brute_force(self):
         for g in (triangular(4), triangular(5), path3(), complete(4)):
-            assert sorted(independent_sets(g)) == sorted(brute_independent_sets(g))
+            flat = [s for level in independent_sets(g) for s in level]
+            assert flat == brute_independent_sets(g)  # by size, then lexicographic
 
     def test_t5_counts(self):
-        sets = independent_sets(triangular(5))
-        by_size = {}
-        for s in sets:
-            by_size[len(s)] = by_size.get(len(s), 0) + 1
-        assert by_size == {0: 1, 1: 10, 2: 15}
+        levels = independent_sets(triangular(5))
+        assert [len(level) for level in levels] == [1, 10, 15]
 
     def test_complete4(self):
-        assert independent_sets(complete(4)) == [(), (0,), (1,), (2,), (3,)]
+        assert independent_sets(complete(4)) == [[()], [(0,), (1,), (2,), (3,)]]
 
     def test_lexicographic_order(self):
-        sets = independent_sets(triangular(5))
-        assert sets == sorted(sets, key=lambda s: (s,))
-        assert sets[0] == ()
+        levels = independent_sets(triangular(5))
+        assert levels[0] == [()]
+        for k, level in enumerate(levels):
+            assert level == sorted(level)
+            assert all(len(s) == k for s in level)
+
+    def test_levels_match_brute_force_and_profile(self):
+        """On seeded random graphs the levels are the brute-force sets
+        grouped by size and sorted, and their lengths are the counts of
+        the separate tuple-free walk in independence_profile."""
+        rng = random.Random(22)
+        for _ in range(240):
+            n = rng.randint(0, 12)
+            p = rng.random()
+            pairs = itertools.combinations(range(n), 2)
+            g = Graph(n, tuple(e for e in pairs if rng.random() < p))
+            brute = brute_independent_sets(g)
+            alpha = max(map(len, brute))
+            expected = [sorted(s for s in brute if len(s) == k) for k in range(alpha + 1)]
+            levels = independent_sets(g)
+            assert levels == expected
+            assert [len(level) for level in levels] == list(independence_profile(g)[0])
 
 
 class TestMaximalIndependentSets:

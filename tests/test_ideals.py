@@ -90,7 +90,8 @@ def sigma_equals_form(g, k: int) -> bool:
     """Check that the k-th elementary symmetric polynomial equals the
     degree-k independent-set sum modulo the edge ideal: every discarded
     squarefree monomial must be divisible by an edge generator."""
-    kept = {s for s in graphs.independent_sets(g) if len(s) == k}
+    levels = graphs.independent_sets(g)
+    kept = set(levels[k]) if k < len(levels) else set()
     for s in itertools.combinations(range(g.vertex_count), k):
         if s in kept:
             continue
