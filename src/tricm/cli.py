@@ -288,8 +288,8 @@ def _homology(args, input_desc, g, c, report):
     if c is None:
         c = complexes.independence_complex(g)
     report["betti"] = [
-        {"char": f.characteristic, "dims": _vec(homology.reduced_betti_table(c, f).dims)}
-        for f in args.char
+        {"char": t.field.characteristic, "dims": _vec(t.dims)}
+        for t in homology.reduced_betti_table(c, args.char)
     ]
 
 

@@ -22,7 +22,6 @@ can differ in dimension.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -33,8 +32,8 @@ from .homology import FieldSpec
 
 CM = "CM"
 NOT_CM = "NOT_CM"
-# the reduced Betti numbers of one complex over a field
-Tables = Callable[[FieldSpec], tuple[int, ...]]
+# the reduced Betti numbers of one complex over each of a list of fields
+Tables = Callable[[list[FieldSpec]], list[tuple[int, ...]]]
 # (witness id, dimension, Betti numbers) for the Reisner loop, pulled lazily
 Candidates = Iterable[tuple[str, int, Tables]]
 
@@ -197,21 +196,31 @@ def _restrict(c: SimplicialComplex, m: int) -> SimplicialComplex:
 
 
 def _tables(c: SimplicialComplex) -> Tables:
-    """The reduced Betti numbers of c over a field, computed once per field."""
-    return functools.cache(lambda field: homology.reduced_betti_table(c, field).dims)
+    """The reduced Betti numbers of c over each field asked for, in order.
+    Each field's table is kept, and the missing fields are computed in
+    one call."""
+    known: dict[FieldSpec, tuple[int, ...]] = {}
+
+    def tables(fields: list[FieldSpec]) -> list[tuple[int, ...]]:
+        missing = [f for f in fields if f not in known]
+        if missing:
+            for t in homology.reduced_betti_table(c, missing):
+                known[t.field] = t.dims
+        return [known[f] for f in fields]
+
+    return tables
 
 
 def _reisner(candidates: Candidates, fields: list[FieldSpec], method: str) -> list[CmVerdict]:
     """One verdict per field, in order: NOT_CM with the first candidate
     (witness id, dimension d, Betti numbers) that has H~_i != 0 over that
-    field for some i < d, CM if none has.  A candidate is asked for the
-    Betti numbers over each field not yet failed; none is pulled once every
-    field has failed."""
+    field for some i < d, CM if none has.  A candidate is asked once for
+    the Betti numbers over all the fields not yet failed; none is pulled
+    once every field has failed."""
     failed: dict[FieldSpec, Witness] = {}
     pending = list(fields)
     for wid, dim, tables in candidates:
-        for field in pending:
-            dims = tables(field)
+        for field, dims in zip(pending, tables(pending)):
             hit = next(((i, b) for i, b in enumerate(dims[: dim + 1], start=-1) if b), None)
             if hit is not None:
                 failed[field] = Witness(wid, "homology", *hit)

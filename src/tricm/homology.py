@@ -4,24 +4,43 @@ Every rank runs through one sparse elimination (`_eliminate`): over Z
 for Q, fraction-free with gcd row reduction at non-unit pivots, and over
 F_p with modular arithmetic.  Pivots are chosen Markowitz-style from a
 column-to-rows index, so a pivot touches only the rows that hold its
-column.  A Betti table computes each boundary rank once, in the field
-it was asked for: over Q that is the exact elimination over Z.  The
-prime of the h.s.o.p. certificate, `CERT_PRIME`, lives in `ideals`.
+column.  A Betti table over a list of fields builds each boundary
+matrix once.  With Q in the list it eliminates the matrix once over Z,
+and that rank is also the rank over F_p for every prime p that the
+elimination does not flag (see `_eliminate`); only a flagged prime gets
+an elimination mod p.  The prime of the h.s.o.p. certificate,
+`CERT_PRIME`, lives in `ideals`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, lcm
 
 from .complexes import SimplicialComplex
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with bases 2, 3, 5, 7: exact for
+    n < 3,215,031,751, which covers every characteristic < 2^31."""
+    if n < 2:
         return False
-    for q in range(2, isqrt(p) + 1):
-        if p % q == 0:
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -111,9 +130,9 @@ def boundary_matrix(c: SimplicialComplex, i: int) -> SparseMatrix:
     return SparseMatrix(rows, cols, tuple(entries))
 
 
-def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
-    """Rank of the matrix whose nonzero rows are given as {row: {column:
-    value}}, over F_p, or over Z (the rank over Q) when p is 0.
+def _eliminate(rows: dict[int, dict[int, int]], p: int) -> tuple[int, int]:
+    """(rank, bad) of the matrix whose nonzero rows are given as {row:
+    {column: value}}, over F_p, or over Z (the rank over Q) when p is 0.
 
     Sparse elimination with a column-to-rows index, so a pivot touches
     only the rows that hold its column.  The pivot row is the shortest row
@@ -122,6 +141,17 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
     (Markowitz), over Z preferring a unit entry, which needs no scaling.
     A non-unit pivot takes a fraction-free step and then divides the row
     by the gcd of its entries.  The rows are consumed.
+
+    Over Z, bad is the lcm of every pivot value pv with |pv| != 1 and of
+    every gcd d > 1 that a row was divided by; mod p it is 1.  For a prime
+    p not dividing bad the rank over Z is the rank over F_p.  Proof: read
+    mod p, every step is an invertible row operation.  R_t -= g R_i is;
+    the fraction-free scale pv/gcd(pv, f) divides pv, so it is a unit;
+    so is the division by d.  Hence the final rows span the row space of
+    the matrix mod p.  The rows that vanish over Z vanish mod p.  Each
+    pivot row is zero in the pivot columns chosen after it, so the pivot
+    rows are triangular on their pivot columns with diagonal pv, a unit
+    mod p: they are independent mod p, and rank_p = rank_Q.
     """
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
@@ -132,7 +162,7 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
                 cols[c] = {i}
     heap = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(heap)
-    rank = 0
+    rank, bad = 0, 1
     while rows:
         n, i = heapq.heappop(heap)
         if len(rows.get(i, ())) != n:
@@ -147,6 +177,8 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
             pc = min(prow, key=lambda c: (abs(prow[c]) != 1, len(cols[c])))
         pv = prow.pop(pc)
         inv = pow(pv, p - 2, p) if p else 0
+        if not p and abs(pv) != 1:
+            bad = lcm(bad, pv)
         pivot_terms = list(prow.items())
         for t in cols.pop(pc):
             trow = rows[t]
@@ -167,6 +199,7 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
                 for v in trow.values():
                     d = gcd(d, v)
                 if d > 1:
+                    bad = lcm(bad, d)
                     for c in trow:
                         trow[c] //= d
             if trow:
@@ -176,7 +209,7 @@ def _eliminate(rows: dict[int, dict[int, int]], p: int) -> int:
         for c in prow:  # the only columns whose row sets changed
             if not cols[c]:
                 del cols[c]
-    return rank
+    return rank, bad
 
 
 def _subtract(trow: dict[int, int], t: int, terms, g: int, p: int, cols) -> None:
@@ -211,15 +244,12 @@ def _subtract(trow: dict[int, int], t: int, terms, g: int, p: int, cols) -> None
                     cols[c].discard(t)
 
 
-def rank(m: SparseMatrix, field: FieldSpec = QQ) -> int:
-    """Exact rank over the given field.
-
-    A matrix with more columns than rows is eliminated as its transpose:
-    on the wide h.s.o.p. multiplication matrices the shortest-row pivots
-    then fill in far less (the whiskered 5-vertex path verifies about 4x
-    faster), and elsewhere it measured the same.
-    """
-    p = field.characteristic
+def _rows(m: SparseMatrix, p: int) -> dict[int, dict[int, int]]:
+    """The nonzero rows {row: {column: value}} of m, mod p if p, for
+    `_eliminate`.  A matrix with more columns than rows is given as its
+    transpose: on the wide h.s.o.p. multiplication matrices the
+    shortest-row pivots then fill in far less (the whiskered 5-vertex path
+    verifies about 4x faster), and elsewhere it measured the same."""
     rows: dict[int, dict[int, int]] = {}
     entries = m.entries
     if m.row_count < m.col_count:
@@ -232,7 +262,13 @@ def rank(m: SparseMatrix, field: FieldSpec = QQ) -> int:
                 rows[r][c] = v
             else:
                 rows[r] = {c: v}
-    return _eliminate(rows, p)
+    return rows
+
+
+def rank(m: SparseMatrix, field: FieldSpec = QQ) -> int:
+    """Exact rank over the given field."""
+    p = field.characteristic
+    return _eliminate(_rows(m, p), p)[0]
 
 
 def _betti_from_ranks(counts, ranks) -> tuple[int, ...]:
@@ -247,13 +283,26 @@ def _betti_from_ranks(counts, ranks) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def reduced_betti_table(c: SimplicialComplex, field: FieldSpec) -> BettiTable:
-    """Reduced Betti numbers dim H~_i(c; field) for -1 <= i <= dim c.
+def reduced_betti_table(c: SimplicialComplex, fields: list[FieldSpec]) -> list[BettiTable]:
+    """Reduced Betti numbers dim H~_i(c; field) for -1 <= i <= dim c, one
+    table per field, in order.
 
+    Each boundary matrix is built once.  With Q among the fields it is
+    eliminated once over Z, and a prime that elimination does not flag
+    takes the same rank; every other prime is eliminated mod p.
     The void complex yields an all-zero (empty) table by convention.
     """
     if c.is_void:
-        return BettiTable(field, ())
-    # ranks[j] = rank of d_{j-1}; d_{-1} is the zero map
-    ranks = [0] + [rank(boundary_matrix(c, i), field) for i in range(c.dim + 2)]
-    return BettiTable(field, _betti_from_ranks(c.face_counts(), ranks))
+        return [BettiTable(f, ()) for f in fields]
+    # ranks[f][j] = rank of d_{j-1} over f; d_{-1} is the zero map
+    ranks = {f: [0] for f in fields}
+    over_z = QQ in ranks
+    for i in range(c.dim + 2):
+        m = boundary_matrix(c, i)
+        if over_z:
+            rq, bad = _eliminate(_rows(m, 0), 0)
+        for f, r in ranks.items():
+            p = f.characteristic
+            r.append(rq if over_z and (p == 0 or bad % p) else rank(m, f))
+    counts = c.face_counts()
+    return [BettiTable(f, _betti_from_ranks(counts, ranks[f])) for f in fields]

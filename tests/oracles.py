@@ -123,6 +123,27 @@ def to_dense(m: SparseMatrix) -> np.ndarray:
     return a
 
 
+def rank_mod_p(m: SparseMatrix, p: int) -> int:
+    """Rank of m over F_p by dense row reduction, column by column with the
+    first nonzero row as pivot; it shares no code with the sparse
+    elimination of `homology`.  Entries stay below p, so their products
+    fit in int32 for p < 2^15 and in int64 for p < 2^31."""
+    a = (to_dense(m) % p).astype(np.int32 if p < 2**15 else np.int64)
+    r = 0
+    for c in range(a.shape[1]):
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+        a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
+        r += 1
+        if r == a.shape[0]:
+            break
+    return r
+
+
 def serialize(c: SimplicialComplex) -> str:
     """Complex file text, the inverse of complexes.deserialize: header
     "dim <d> vertices <N>", then one face per line as sorted

@@ -136,7 +136,7 @@ def test_criterion_3_connectivity():
         c4 = triangular_complex(4)
         assert component_count(c4) != 1
         assert component_count(c4) == 3
-        table = homology.reduced_betti_table(c4, QQ)
+        table = homology.reduced_betti_table(c4, [QQ])[0]
         assert table.dims[1] == 2  # index 0 entry
 
 
@@ -147,11 +147,11 @@ def test_criterion_4_char0_reisner():
     the paper's characteristic-0 claim for T_9 fails.  Budget < 60 s per
     complex."""
     with Criterion(4, 120.0):
-        t7 = homology.reduced_betti_table(triangular_complex(7), QQ)
+        t7 = homology.reduced_betti_table(triangular_complex(7), [QQ])[0]
         assert all(t7.dims[i + 1] == 0 for i in range(-1, 2))
         assert t7.dims == bouc_betti(7)
         c9 = triangular_complex(9)
-        t9 = homology.reduced_betti_table(c9, QQ)
+        t9 = homology.reduced_betti_table(c9, [QQ])[0]
         assert t9.dims == bouc_betti(9)
         first = next(i for i in range(-1, c9.dim + 1) if t9.dims[i + 1])
         assert first == 2 and c9.dim == 3
@@ -215,7 +215,7 @@ def test_nightly_d11_char0():
     boundary rank by elimination over Z, equals Bouc's prediction;
     < 60 s."""
     t0 = time.monotonic()
-    t = homology.reduced_betti_table(triangular_complex(11), QQ)
+    t = homology.reduced_betti_table(triangular_complex(11), [QQ])[0]
     elapsed = time.monotonic() - t0
     assert t.dims == bouc_betti(11) == (0, 0, 0, 0, 1188, 252)
     assert elapsed < 60.0, f"D(11) over Q took {elapsed:.1f}s"
@@ -253,7 +253,7 @@ def test_criterion_8_property_suites():
             f = complexes.f_vector(c).entries
             chi = sum((-1) ** i * f[i + 1] for i in range(-1, len(f) - 1))
             for ch in (0, 2, 3):
-                t = homology.reduced_betti_table(c, FieldSpec(ch))
+                t = homology.reduced_betti_table(c, [FieldSpec(ch)])[0]
                 alt = sum((-1) ** i * b for i, b in enumerate(t.dims, start=-1))
                 assert alt == chi
 

@@ -33,7 +33,7 @@ def naive_reisner(g, field, name="complex"):
     for f in faces:
         lk = [g for g in faces if not set(f) & set(g) and frozenset(f + g) in face_sets]
         lk = from_faces(c.vertex_count, lk)
-        dims = homology.reduced_betti_table(lk, field).dims
+        dims = homology.reduced_betti_table(lk, [field])[0].dims
         for i, b in enumerate(dims[: lk.dim + 1], start=-1):
             if b:
                 return NOT_CM, (Witness(f"lk({name}, {f})", "homology", i, b),)
@@ -273,14 +273,14 @@ class TestReisnerCheck:
         tables = []
         real = homology.reduced_betti_table
 
-        def spy(c, field):
-            tables.append(field)
-            return real(c, field)
+        def spy(c, fields):
+            tables.append(list(fields))
+            return real(c, fields)
 
         monkeypatch.setattr(homology, "reduced_betti_table", spy)
         verdicts = reisner_check(graphs.triangular(7), [F3, QQ, F2], name="delta_G")
         assert [v.status for v in verdicts] == [NOT_CM, CM, CM]
-        assert tables == [F3, QQ, F2, QQ, F2]
+        assert tables == [[F3, QQ, F2], [QQ, F2]]
         monkeypatch.undo()
         assert_matches_naive(graphs.triangular(7), [F3, QQ, F2])
 
@@ -354,13 +354,49 @@ class TestReisnerTriangular:
         seen = []
         real = homology.reduced_betti_table
         monkeypatch.setattr(
-            homology, "reduced_betti_table", lambda c, field: seen.append(field) or real(c, field)
+            homology,
+            "reduced_betti_table",
+            lambda c, fields: seen.append(list(fields)) or real(c, fields),
         )
         assert reisner_triangular(9, [F3, QQ]) == [
             CmVerdict(NOT_CM, F3, (Witness("delta(7)", "homology", 1, 1),), "reisner-parity"),
             CmVerdict(NOT_CM, QQ, (Witness("delta(9)", "homology", 2, 42),), "reisner-parity"),
         ]
-        assert seen == [F3, QQ, F3, QQ, F3, QQ, QQ]
+        assert seen == [[F3, QQ]] * 3 + [[QQ]]
+
+    @pytest.mark.parametrize("p,calls", [(1000003, 0), (2, 1), (3, 1)])
+    def test_mod_p_ranks_only_where_z_flags(self, monkeypatch, p, calls):
+        # next to Q a prime reuses the rank over Z of every boundary map
+        # whose elimination over Z it does not flag, and is eliminated mod
+        # p once for each map it does flag: over F_3 that is d_2 of D(7),
+        # over F_2 d_3 of D(9)
+        field = FieldSpec(p)
+        asked, mod_p = [], []
+        real_table, real_rank = homology.reduced_betti_table, homology.rank
+
+        def spy_table(c, fields):
+            asked.append((c, list(fields)))
+            return real_table(c, fields)
+
+        def spy_rank(m, f=QQ):
+            if f.characteristic:
+                mod_p.append((f, m.row_count, m.col_count))
+            return real_rank(m, f)
+
+        monkeypatch.setattr(homology, "reduced_betti_table", spy_table)
+        monkeypatch.setattr(homology, "rank", spy_rank)
+        verdicts = reisner_triangular(9, [QQ, field])
+        monkeypatch.undo()
+        assert verdicts == reisner_triangular(9, [QQ]) + reisner_triangular(9, [field])
+        flagged = []
+        for c, fields in asked:
+            for i in range(c.dim + 2):
+                m = homology.boundary_matrix(c, i)
+                bad = homology._eliminate(homology._rows(m, 0), 0)[1]
+                if field in fields and bad % p == 0:
+                    flagged.append((field, m.row_count, m.col_count))
+        assert mod_p == flagged
+        assert len(mod_p) == calls
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_agrees_with_full_check(self, n):

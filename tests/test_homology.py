@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tricm.homology import (
     reduced_betti_table,
 )
 
-from oracles import closure, component_count, relabel, to_dense
+from oracles import closure, component_count, rank_mod_p, relabel, to_dense
 
 
 def fraction_rank(dense):
@@ -111,6 +112,26 @@ class TestFieldSpec:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             FieldSpec(bad)
+
+    def test_primality_matches_a_sieve(self):
+        n = 10**5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for q in range(2, isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytes(len(range(q * q, n, q)))
+        assert [k for k in range(n) if homology._is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+    def test_largest_characteristic(self):
+        assert homology._is_prime(2**31 - 1)
+        assert FieldSpec(2**31 - 1).characteristic == 2**31 - 1
+
+    # strong pseudoprimes to the bases 2; 2 and 3; 2, 3 and 5
+    @pytest.mark.parametrize("n", [2047, 1_373_653, 25_326_001])
+    def test_strong_pseudoprimes(self, n):
+        assert not homology._is_prime(n)
+        message = rf"^characteristic must be 0 or a prime < 2\^31, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            FieldSpec(n)
 
 
 class TestSparseMatrix:
@@ -238,70 +259,69 @@ class TestRank:
 
 class TestBettiTables:
     def test_t4(self):
-        t = reduced_betti_table(triangular_complex(4), QQ)
+        t = reduced_betti_table(triangular_complex(4), [QQ])[0]
         assert t.dims == (0, 2, 0)
 
     def test_t5(self):
-        t = reduced_betti_table(triangular_complex(5), QQ)
+        t = reduced_betti_table(triangular_complex(5), [QQ])[0]
         assert t.dims == (0, 0, 6)
 
     def test_t7_char0(self):
-        t = reduced_betti_table(triangular_complex(7), QQ)
+        t = reduced_betti_table(triangular_complex(7), [QQ])[0]
         assert t.dims == (0, 0, 0, 20)
 
     def test_t7_top_equals_h(self):
         # top homology of a connected-below complex matches the last
         # h-vector entry
         h = complexes.h_vector(complexes.triangular_f_closed(7))
-        t = reduced_betti_table(triangular_complex(7), QQ)
+        t = reduced_betti_table(triangular_complex(7), [QQ])[0]
         assert t.dims[-1] == h.entries[-1] == 20
         h5 = complexes.h_vector(complexes.triangular_f_closed(5))
-        t5 = reduced_betti_table(triangular_complex(5), QQ)
+        t5 = reduced_betti_table(triangular_complex(5), [QQ])[0]
         assert t5.dims[-1] == h5.entries[-1] == 6
 
     def test_t7_torsion_prime(self):
         # the matching complex on 7 symbols has 3-torsion in degree 1
-        assert reduced_betti_table(triangular_complex(7), FieldSpec(2)).dims == (0, 0, 0, 20)
-        assert reduced_betti_table(triangular_complex(7), FieldSpec(5)).dims == (0, 0, 0, 20)
-        assert reduced_betti_table(triangular_complex(7), FieldSpec(3)).dims == (0, 0, 1, 21)
+        assert reduced_betti_table(triangular_complex(7), [FieldSpec(2)])[0].dims == (0, 0, 0, 20)
+        assert reduced_betti_table(triangular_complex(7), [FieldSpec(5)])[0].dims == (0, 0, 0, 20)
+        assert reduced_betti_table(triangular_complex(7), [FieldSpec(3)])[0].dims == (0, 0, 1, 21)
 
     def test_t9_char0(self):
-        t = reduced_betti_table(triangular_complex(9), QQ)
+        t = reduced_betti_table(triangular_complex(9), [QQ])[0]
         assert t.dims == (0, 0, 0, 42, 70)
 
     def test_t10_char0(self):
         # Bouc's prediction, `bouc_betti(10)` in test_acceptance
-        t = reduced_betti_table(triangular_complex(10), QQ)
+        t = reduced_betti_table(triangular_complex(10), [QQ])[0]
         assert t.dims == (0, 0, 0, 0, 1216, 0)
 
     def test_empty_only(self):
-        t = reduced_betti_table(complexes.EMPTY_ONLY, QQ)
+        t = reduced_betti_table(complexes.EMPTY_ONLY, [QQ])[0]
         assert t.dims == (1,)
 
     def test_void_convention(self):
-        assert reduced_betti_table(complexes.VOID, QQ).dims == ()
+        assert reduced_betti_table(complexes.VOID, [QQ])[0].dims == ()
 
     @pytest.mark.parametrize("char", [0, 2, 3])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_euler_identity(self, n, char):
         c = triangular_complex(n)
-        t = reduced_betti_table(c, FieldSpec(char))
+        t = reduced_betti_table(c, [FieldSpec(char)])[0]
         alt = sum((-1) ** i * b for i, b in enumerate(t.dims, start=-1))
         assert alt == euler_characteristic(c)
 
     def test_relabel_invariance(self):
         rng = random.Random(11)
         c = triangular_complex(6)
-        base = reduced_betti_table(c, QQ).dims
+        base = reduced_betti_table(c, [QQ])[0].dims
         for _ in range(3):
             perm = list(range(c.vertex_count))
             rng.shuffle(perm)
             mapping = dict(enumerate(perm))
             c2 = relabel(c, mapping, c.vertex_count)
-            assert reduced_betti_table(c2, QQ).dims == base
-            assert reduced_betti_table(c2, FieldSpec(3)).dims == reduced_betti_table(
-                c, FieldSpec(3)
-            ).dims
+            assert reduced_betti_table(c2, [QQ])[0].dims == base
+            f3 = [FieldSpec(3)]
+            assert reduced_betti_table(c2, f3)[0].dims == reduced_betti_table(c, f3)[0].dims
 
     @pytest.mark.parametrize("c", [
         triangular_complex(7),
@@ -311,28 +331,60 @@ class TestBettiTables:
         ),
     ], ids=["delta7", "delta9", "whiskered-c5"])
     def test_ranks_only_over_q(self, monkeypatch, c):
-        # over Q every boundary rank is computed once, exactly: no rank
-        # modulo a prime is taken along the way
-        fields = []
+        # over Q every boundary rank is computed once, exactly: one
+        # elimination over Z per boundary map, and no rank modulo a prime
+        # is taken along the way
+        primes, eliminated = [], []
+        real_rank, real_eliminate = homology.rank, homology._eliminate
+
+        def spy_rank(m, field=QQ):
+            if field.characteristic:
+                primes.append(field)
+            return real_rank(m, field)
+
+        def spy_eliminate(rows, p):
+            eliminated.append(p)
+            return real_eliminate(rows, p)
+
+        monkeypatch.setattr(homology, "rank", spy_rank)
+        monkeypatch.setattr(homology, "_eliminate", spy_eliminate)
+        [t] = reduced_betti_table(c, [QQ])
+        assert primes == []
+        assert eliminated == [0] * (c.dim + 2)
+        alt = sum((-1) ** i * b for i, b in enumerate(t.dims, start=-1))
+        assert alt == euler_characteristic(c)
+
+    def test_flagged_prime_takes_the_mod_p_path(self, monkeypatch):
+        # d_2 of D(7) has bad 3 over Z, so F_3 eliminates that map mod 3
+        # and reuses the rank over Z of the others; F_2 reuses them all
+        assert homology._eliminate({0: {0: 3}}, 0) == (1, 3)
+        c = triangular_complex(7)
+        bads = [_z_rank(boundary_matrix(c, i))[1] for i in range(c.dim + 2)]
+        calls = []
         real = homology.rank
 
         def spy(m, field=QQ):
-            fields.append(field)
+            calls.append((field, m.row_count, m.col_count))
             return real(m, field)
 
         monkeypatch.setattr(homology, "rank", spy)
-        t = reduced_betti_table(c, QQ)
-        assert set(fields) == {QQ}
-        assert len(fields) == c.dim + 2
-        alt = sum((-1) ** i * b for i, b in enumerate(t.dims, start=-1))
-        assert alt == euler_characteristic(c)
+        f2, f3 = FieldSpec(2), FieldSpec(3)
+        tables = reduced_betti_table(c, [QQ, f2, f3])
+        assert [(t.field, t.dims) for t in tables] == [
+            (QQ, (0, 0, 0, 20)),
+            (f2, (0, 0, 0, 20)),
+            (f3, (0, 0, 1, 21)),
+        ]
+        flagged = [i for i, bad in enumerate(bads) if bad % 3 == 0]
+        assert flagged == [2]
+        assert calls == [(f3, 105, 105)]
 
     def test_sphere(self):
         # boundary of the 3-simplex: a 2-sphere
         faces = [f for f in closure([(0, 1, 2, 3)]) if len(f) < 4]
         c = from_faces(4, faces)
-        assert reduced_betti_table(c, QQ).dims == (0, 0, 0, 1)
-        assert reduced_betti_table(c, FieldSpec(2)).dims == (0, 0, 0, 1)
+        assert reduced_betti_table(c, [QQ])[0].dims == (0, 0, 0, 1)
+        assert reduced_betti_table(c, [FieldSpec(2)])[0].dims == (0, 0, 0, 1)
 
 
 def one_dimensional_complexes():
@@ -358,7 +410,45 @@ def test_h0_counts_components(char):
         assert c.dim == 1
         k = component_count(c)
         f0, f1 = c.face_counts()
-        assert reduced_betti_table(c, FieldSpec(char)).dims == (0, k - 1, f1 - f0 + k)
+        assert reduced_betti_table(c, [FieldSpec(char)])[0].dims == (0, k - 1, f1 - f0 + k)
+
+
+def _z_rank(m):
+    """(rank, bad) of the elimination over Z of m."""
+    return homology._eliminate(homology._rows(m, 0), 0)
+
+
+REUSE_PRIMES = (2, 3, 5, 7, 11, 13, 1000003)
+
+
+class TestZRankReuse:
+    """The rank over Z is the rank over F_p for every prime p that its
+    elimination does not flag (bad % p != 0), against the dense oracle."""
+
+    @staticmethod
+    def reused(m) -> int:
+        r, bad = _z_rank(m)
+        primes = [p for p in REUSE_PRIMES if bad % p]
+        for p in primes:
+            assert r == rank_mod_p(m, p), (m, p, bad)
+        return len(primes)
+
+    def test_random_matrices(self):
+        rng = random.Random(23)
+        values = [v for v in range(-6, 7) if v]
+        reused = flagged = 0
+        for _ in range(2000):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            m = sparse_of(random_dense(rng, rows, cols, rng.random(), values))
+            reused += self.reused(m)
+            flagged += _z_rank(m)[1] > 1
+        # neither side of the rule is vacuous
+        assert reused > 7000 and flagged > 500
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_boundary_matrices(self, n):
+        c = triangular_complex(n)
+        assert sum(self.reused(boundary_matrix(c, i)) for i in range(c.dim + 2)) > 0
 
 
 PRIMES = (2, 3, 97, 2**31 - 1)  # 2^31 - 1: products of two entries near 2^62
