@@ -72,21 +72,23 @@ def triangular(n: int) -> Graph:
         raise ValueError("triangular graph requires n >= 2")
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     labels = tuple(pair_label(i, j) for i, j in pairs)
-    edges = []
-    for a in range(len(pairs)):
-        ia, ja = pairs[a]
-        for b in range(a + 1, len(pairs)):
-            ib, jb = pairs[b]
-            if {ia, ja} & {ib, jb}:
-                edges.append((a, b))
+    # the pairs holding one symbol form a clique, and two pairs share at
+    # most one symbol, so every edge comes from exactly one clique
+    holders: list[list[int]] = [[] for _ in range(n + 1)]
+    for v, (i, j) in enumerate(pairs):
+        holders[i].append(v)
+        holders[j].append(v)
+    edges = [e for clique in holders for e in itertools.combinations(clique, 2)]
     return Graph(len(pairs), tuple(edges), labels)
 
 
 def independent_sets(g: Graph) -> list[list[tuple[int, ...]]]:
     """The independent sets of g grouped by size: levels[k] lists those of
-    size k in lexicographic order, for k = 0..alpha(g).  The level walk of
-    `independence_profile`, over (set, candidates) pairs; taking the
-    lowest candidate first keeps every level lexicographic."""
+    size k in lexicographic order, for k = 0..alpha(g).  One level walk
+    over (set, candidates) pairs, where the candidates are the vertices
+    above max S adjacent to none of S; taking the lowest candidate first
+    keeps every level lexicographic.  It lists every set, so it merges
+    none, unlike the walk of `independence_profile`."""
     non_neighbors = [~m for m in g.neighbor_masks]
     levels = [[()]]
     frontier = [((), (1 << g.vertex_count) - 1)] if g.vertex_count else []
@@ -130,11 +132,22 @@ def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
     Built on first use and kept on the graph.
 
     One level-by-level pass over the search tree of independent sets in
-    increasing vertex order, with no tuples: a set S is carried as its
-    candidates (the vertices above max S adjacent to none of S) and its
-    blocked mask (the union of the closed neighbourhoods of S).  S is
-    maximal iff blocked covers the graph, which a set with a candidate
-    left never does, so only the leaves are tested and none is stored.
+    increasing vertex order, with no tuples.  A set S is known only by its
+    state: its candidates (the vertices above max S adjacent to none of S)
+    and its blocked mask (the union of the closed neighbourhoods of S).
+    Each level is a map from state to the number of sets of that size in
+    it, and sets that reach one state are merged by adding their numbers.
+
+    The merge is exact.  The children of S are S + v for v among its
+    candidates; S + v has the candidates of S above v minus N(v), and
+    blocked | N[v].  Both depend on S only through its state, so two sets
+    in one state have subtrees with the same states, level by level.  And
+    S + T is maximal iff blocked | N[T] covers the graph, which again
+    depends on S only through its state.  (Equal candidates alone do not
+    give equal blocked masks, so the key holds both.)  A set with a
+    candidate left is never maximal, so only the leaves are tested.  Each
+    set has one child per candidate, so counts[k + 1] is the sum over the
+    states of level k of their number of sets times their candidate count.
     """
     if g._independence_profile is not None:
         return g._independence_profile
@@ -144,11 +157,12 @@ def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
     closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
     counts = [1]
     sizes = set() if n else {0}  # the empty set is maximal only in the empty graph
-    cands, blocks = ([full], [0]) if n else ([], [])
-    while cands:
-        next_cands, next_blocks = [], []
-        leaves = 0
-        for cand, blocked in zip(cands, blocks):
+    states = {(full, 0): 1} if n else {}
+    while states:
+        next_states: dict[tuple[int, int], int] = {}
+        children = 0
+        for (cand, blocked), sets in states.items():
+            children += sets * cand.bit_count()
             while cand:
                 low = cand & -cand
                 cand ^= low
@@ -156,14 +170,12 @@ def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
                 child = cand & non_neighbors[v]
                 child_blocked = blocked | closed[v]
                 if child:
-                    next_cands.append(child)
-                    next_blocks.append(child_blocked)
-                else:
-                    leaves += 1
-                    if child_blocked == full:
-                        sizes.add(len(counts))
-        counts.append(len(next_cands) + leaves)
-        cands, blocks = next_cands, next_blocks
+                    key = (child, child_blocked)
+                    next_states[key] = next_states.get(key, 0) + sets
+                elif child_blocked == full:
+                    sizes.add(len(counts))
+        counts.append(children)
+        states = next_states
     g._independence_profile = (tuple(counts), frozenset(sizes))
     return g._independence_profile
 

@@ -175,7 +175,7 @@ class TestIndependentSets:
     def test_levels_match_brute_force_and_profile(self):
         """On seeded random graphs the levels are the brute-force sets
         grouped by size and sorted, and their lengths are the counts of
-        the separate tuple-free walk in independence_profile."""
+        the state-merging walk in independence_profile."""
         rng = random.Random(22)
         for _ in range(240):
             n = rng.randint(0, 12)
@@ -244,6 +244,10 @@ class TestIndependenceProfile:
         assert independence_profile(Graph(5, ((1, 3),))) == ((1, 5, 9, 7, 2), frozenset({4}))
         assert independence_profile(path3()) == ((1, 3, 1), frozenset({1, 2}))
         assert independence_profile(complete(4)) == ((1, 4), frozenset({1}))
+        # {1} and {2} both have candidates {4} but different blocked masks:
+        # {2, 4} is maximal and {1, 4} is not
+        g = Graph(5, ((0, 2), (1, 2), (1, 3), (2, 3)))
+        assert independence_profile(g) == brute_profile(g) == ((1, 5, 6, 2), frozenset({2, 3}))
 
     def test_matches_brute_force(self):
         rng = random.Random(11)
@@ -260,10 +264,32 @@ class TestIndependenceProfile:
             assert is_unmixed(g) == (len(sizes) <= 1)
 
     def test_triangular_counts_are_closed_form(self):
-        for n in range(2, 13):
+        for n in range(2, 15):
             counts, sizes = independence_profile(triangular(n))
             assert counts == triangular_f_closed(n).entries
             assert sizes == {n // 2}
+
+    def test_agrees_with_the_listed_sets(self):
+        """The merged walk against the unmerged one on seeded graphs with
+        0-16 vertices: whiskered graphs, where few states merge, dense
+        graphs, where many do, and graphs of any density."""
+        rng = random.Random(24)
+        graphs_ = []
+        for kind in ("whiskered", "dense", "any") * 110:
+            if kind == "whiskered":
+                b, p = rng.randint(0, 8), rng.random()
+                pairs = itertools.combinations(range(b), 2)
+                base = [e for e in pairs if rng.random() < p]
+                graphs_.append(Graph(2 * b, tuple(base) + tuple((v, b + v) for v in range(b))))
+            else:
+                n = rng.randint(0, 16)
+                p = rng.uniform(0.5, 0.95) if kind == "dense" else rng.random()
+                pairs = itertools.combinations(range(n), 2)
+                graphs_.append(Graph(n, tuple(e for e in pairs if rng.random() < p)))
+        for g in graphs_:
+            counts, sizes = independence_profile(g)
+            assert counts == tuple(map(len, independent_sets(g))), g.edges
+            assert sizes == {len(s) for s in maximal_independent_sets(g)}, g.edges
 
     def test_kept_on_the_graph(self):
         g = triangular(6)
