@@ -49,7 +49,8 @@ def _load_input(args) -> tuple[dict, graphs.Graph | None, complexes.SimplicialCo
         return {"kind": "triangular", "n": n}, graphs.triangular(n), None
     path = args.graph if args.graph is not None else args.complex
     try:  # UTF-8 whatever the locale: the digest below hashes UTF-8 bytes
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}")
     digest = hashlib.sha256(text.encode()).hexdigest()

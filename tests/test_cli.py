@@ -366,6 +366,20 @@ def test_module_entry_point():
     assert "char 0: CM (method: fast-path-theorem)" in done.stdout
 
 
+def test_input_files_are_closed(tmp_path):
+    # a leaked handle shows as a ResourceWarning under `-X dev`; the run
+    # must still exit 0 with none on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("TRICM_CACHE_DIR", None)
+    for argv in (["classify", "--graph", _k22_file(tmp_path)],
+                 ["homology", "--complex", _complex_file(tmp_path)]):
+        python = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "tricm"]
+        done = subprocess.run(python + argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
+
+
 class TestErrorsAndExitCodes:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -309,6 +309,7 @@ class TestBettiTables:
         t = reduced_betti_table(c, [FieldSpec(char)])[0]
         alt = sum((-1) ** i * b for i, b in enumerate(t.dims, start=-1))
         assert alt == euler_characteristic(c)
+        assert t.dims == _table_from_every_boundary(c, char)
 
     def test_relabel_invariance(self):
         rng = random.Random(11)
@@ -329,13 +330,18 @@ class TestBettiTables:
         complexes.independence_complex(
             whiskered(graphs.Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))))
         ),
-    ], ids=["delta7", "delta9", "whiskered-c5"])
+        complexes.EMPTY_ONLY,
+        from_faces(3, [(), (0,), (1,), (2,)]),
+    ], ids=["delta7", "delta9", "whiskered-c5", "empty-only", "three-points"])
     def test_ranks_only_over_q(self, monkeypatch, c):
         # over Q every boundary rank is computed once, exactly: one
-        # elimination over Z per boundary map, and no rank modulo a prime
-        # is taken along the way
-        primes, eliminated = [], []
+        # elimination over Z for each of d_1 .. d_dim, and no rank modulo
+        # a prime is taken along the way.  The ranks of the augmentation
+        # d_0 and of the zero map d_{dim+1} need no matrix, so a complex
+        # of dimension <= 0 builds none.
+        primes, eliminated, built = [], [], []
         real_rank, real_eliminate = homology.rank, homology._eliminate
+        real_boundary = homology.boundary_matrix
 
         def spy_rank(m, field=QQ):
             if field.characteristic:
@@ -346,11 +352,17 @@ class TestBettiTables:
             eliminated.append(p)
             return real_eliminate(rows, p)
 
+        def spy_boundary(c, i):
+            built.append(i)
+            return real_boundary(c, i)
+
         monkeypatch.setattr(homology, "rank", spy_rank)
         monkeypatch.setattr(homology, "_eliminate", spy_eliminate)
+        monkeypatch.setattr(homology, "boundary_matrix", spy_boundary)
         [t] = reduced_betti_table(c, [QQ])
         assert primes == []
-        assert eliminated == [0] * (c.dim + 2)
+        assert eliminated == [0] * c.dim
+        assert built == list(range(1, c.dim + 1))
         alt = sum((-1) ** i * b for i, b in enumerate(t.dims, start=-1))
         assert alt == euler_characteristic(c)
 
@@ -402,15 +414,47 @@ def one_dimensional_complexes():
     return out
 
 
+@pytest.mark.parametrize("fields", [
+    [QQ], [FieldSpec(2)], [FieldSpec(3), QQ, FieldSpec(3)],
+], ids=["q", "f2", "f3-q-f3"])
+def test_tables_of_dimension_at_most_zero(fields):
+    # the rank of d_0 is known, 1 when there is a vertex, and d_{dim+1}
+    # is zero: {∅} has H~_{-1} = 1 and k points have H~_0 = k - 1, over
+    # every field.  A repeated field still gets its own table, in order.
+    cases = [(complexes.EMPTY_ONLY, (1,))]
+    for k in range(1, 5):
+        cases.append((from_faces(k, [(), *((v,) for v in range(k))]), (0, k - 1)))
+    for c, dims in cases:
+        tables = reduced_betti_table(c, fields)
+        assert [(t.field, t.dims) for t in tables] == [(f, dims) for f in fields]
+
+
 @pytest.mark.parametrize("char", [0, 2, 3])
 def test_h0_counts_components(char):
     # the union-find oracle against the boundary ranks: H~_0 + 1 is the
-    # number of components, and H~_1 the cycle rank f_1 - f_0 + components
+    # number of components, and H~_1 the cycle rank f_1 - f_0 + components;
+    # alone the field is eliminated mod p, beside Q it reuses the Z rank
+    f = FieldSpec(char)
     for c in one_dimensional_complexes():
         assert c.dim == 1
         k = component_count(c)
         f0, f1 = c.face_counts()
-        assert reduced_betti_table(c, [FieldSpec(char)])[0].dims == (0, k - 1, f1 - f0 + k)
+        dims = (0, k - 1, f1 - f0 + k)
+        assert reduced_betti_table(c, [f])[0].dims == dims
+        tables = reduced_betti_table(c, [f, QQ, f])
+        assert [(t.field, t.dims) for t in tables] == [(f, dims), (QQ, dims), (f, dims)]
+
+
+def _table_from_every_boundary(c, char):
+    """The reduced Betti numbers from the ranks of every d_i, 0 <= i <=
+    dim + 1, each built as a matrix: over Q by `homology.rank`, over F_p
+    by the dense oracle."""
+    ranks = [0]  # d_{-1}
+    for i in range(c.dim + 2):
+        m = boundary_matrix(c, i)
+        ranks.append(rank_mod_p(m, char) if char else rank(m, QQ))
+    chain = (1, *c.face_counts())
+    return tuple(chain[j] - ranks[j] - ranks[j + 1] for j in range(c.dim + 2))
 
 
 def _z_rank(m):
