@@ -286,12 +286,13 @@ def _hsop_text(args, report):
 
 
 def _homology(args, input_desc, g, c, report):
+    # a graph's tables come from its matching tree, a complex file's from
+    # its boundary matrices
     if c is None:
-        c = complexes.independence_complex(g)
-    report["betti"] = [
-        {"char": t.field.characteristic, "dims": _vec(t.dims)}
-        for t in homology.reduced_betti_table(c, args.char)
-    ]
+        tables = homology.independence_betti_table(g, args.char)
+    else:
+        tables = homology.reduced_betti_table(c, args.char)
+    report["betti"] = [{"char": t.field.characteristic, "dims": _vec(t.dims)} for t in tables]
 
 
 def _homology_text(args, report):

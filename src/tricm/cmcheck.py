@@ -195,16 +195,18 @@ def _restrict(c: SimplicialComplex, m: int) -> SimplicialComplex:
     return SimplicialComplex(c.vertex_count, tuple(levels))
 
 
-def _tables(c: SimplicialComplex) -> Tables:
-    """The reduced Betti numbers of c over each field asked for, in order.
-    Each field's table is kept, and the missing fields are computed in
-    one call."""
+def _tables(betti_table, x) -> Tables:
+    """The reduced Betti numbers of x over each field asked for, in order,
+    from betti_table(x, fields): `homology.reduced_betti_table` for a
+    complex, `homology.independence_betti_table` for a graph.  Each
+    field's table is kept, and the missing fields are computed in one
+    call."""
     known: dict[FieldSpec, tuple[int, ...]] = {}
 
     def tables(fields: list[FieldSpec]) -> list[tuple[int, ...]]:
         missing = [f for f in fields if f not in known]
         if missing:
-            for t in homology.reduced_betti_table(c, missing):
+            for t in betti_table(x, missing):
                 known[t.field] = t.dims
         return [known[f] for f in fields]
 
@@ -261,7 +263,8 @@ def _class_links(g: Graph, c: SimplicialComplex, name: str) -> Candidates:
             continue
         key, folded = link_class
         if key not in classes:
-            classes[key] = _tables(_restrict(complexes.link(c, f), folded))
+            link = _restrict(complexes.link(c, f), folded)
+            classes[key] = _tables(homology.reduced_betti_table, link)
         yield f"lk({name}, {f})", _alpha(neighbors, m, alphas) - 1, classes[key]
 
 
@@ -280,14 +283,18 @@ def reisner_check(g: Graph, fields: list[FieldSpec], name: str = "complex") -> l
 def reisner_triangular(n: int, fields: list[FieldSpec]) -> list[CmVerdict]:
     """Parity-reduced Reisner check for T_n, one verdict per field: every
     link of D(n) is a copy of D(l) for some l <= n of the same parity, so
-    only those complexes are examined, each built once for all fields."""
+    only those complexes are examined, each asked once for the Betti
+    tables of all the fields still pending.  The tables come from the
+    Morse complex of T_l's matching tree, so no face of D(l) is built."""
     if n < 2:
         raise ValueError("requires n >= 2")
 
     def candidates() -> Candidates:
         for l in range(2 + n % 2, n + 1, 2):
-            c = complexes.triangular_complex(l)
-            yield f"delta({l})", c.dim, _tables(c)
+            # D(l) has dimension l // 2 - 1: every maximal matching of K_l
+            # has l // 2 edges
+            tables = _tables(homology.independence_betti_table, graphs.triangular(l))
+            yield f"delta({l})", l // 2 - 1, tables
 
     return _reisner(candidates(), fields, "reisner-parity")
 

@@ -3,7 +3,7 @@
 A complex stores its faces grouped by dimension.  Two degenerate cases are
 distinguished: the void complex (no faces at all) and the complex {∅}
 (only the empty face, dimension -1).  D(n) denotes the independence
-complex of the triangular graph T_n; D(n) is void for n < 2.
+complex of the triangular graph T_n.
 """
 
 from __future__ import annotations
@@ -108,13 +108,6 @@ def independence_complex(g: Graph) -> SimplicialComplex:
     """Complex whose faces are the independent sets of g."""
     levels = graphs.independent_sets(g)
     return SimplicialComplex(g.vertex_count, tuple(map(tuple, levels[1:])))
-
-
-def triangular_complex(n: int) -> SimplicialComplex:
-    """D(n), the independence complex of T_n; void for n < 2."""
-    if n < 2:
-        return VOID
-    return independence_complex(graphs.triangular(n))
 
 
 @dataclass(frozen=True)

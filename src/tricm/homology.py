@@ -4,12 +4,51 @@ Every rank runs through one sparse elimination (`_eliminate`): over Z
 for Q, fraction-free with gcd row reduction at non-unit pivots, and over
 F_p with modular arithmetic.  Pivots are chosen Markowitz-style from a
 column-to-rows index, so a pivot touches only the rows that hold its
-column.  A Betti table over a list of fields builds each of d_1 .. d_dim
-once; the ranks of d_0 and d_{dim+1} are known without a matrix.  With Q
-in the list it eliminates each matrix once over Z, and that rank is also
-the rank over F_p for every prime p that the elimination does not flag
-(see `_eliminate`); only a flagged prime gets an elimination mod p.
-The prime of the h.s.o.p. certificate, `CERT_PRIME`, lives in `ideals`.
+column.  A Betti table over a list of fields ranks each of its matrices
+once per field (`_betti_tables`).  With Q in the list it eliminates each
+matrix once over Z, and that rank is also the rank over F_p for every
+prime p that the elimination does not flag (see `_eliminate`); only a
+flagged prime gets an elimination mod p.  The prime of the h.s.o.p.
+certificate, `CERT_PRIME`, lives in `ideals`.
+
+A complex's table (`reduced_betti_table`) ranks its boundary matrices
+d_1 .. d_dim.  The table of an independence complex Ind(g)
+(`independence_betti_table`) ranks the far smaller matrices of a Morse
+complex built from g alone, with no face list: the matching tree of
+Bousquet-Melou, Linusson & Nevo (J. Algebraic Combin., 2008) read
+through Forman's discrete Morse theory (Adv. Math., 1998).
+
+A node of the tree is the family of independent sets I with A ⊆ I ⊆ A
+∪ free, where A is independent and no free vertex is adjacent to A.  The
+root has A = ∅ and every vertex free.  At a node, in order:
+  1. if a free vertex has no free neighbour, the lowest such v toggles:
+     I <-> I ^ {v} matches the whole family, and the node is a leaf;
+  2. else if a free vertex has exactly one free neighbour, split on that
+     neighbour p, for the lowest such vertex;
+  3. else split on the free vertex p with the most free neighbours,
+     lowest first.
+A split has two children: p leaves free (p ∉ I), or p joins A and its
+neighbours leave free (p ∈ I).  A node with no free vertex is a leaf
+holding the one set A, a critical cell.  The matching is acyclic: within
+a toggle leaf it moves one fixed vertex, and for I ⊆ J the walks of I
+and J from the root part, if at all, at a split on some p ∈ J ∖ I, where
+I goes to the child without p.  So ordering the leaves by that first
+split orders the leaf of I at or below the leaf of J, and a union of
+acyclic matchings over such an order-preserving map is acyclic (the
+cluster lemma; Jonsson, Simplicial Complexes of Graphs, 2008).  The
+empty set is one of the cells, so the critical cells, with the Morse
+boundary below, form a chain complex with the reduced homology of Ind(g)
+over Z.
+
+The Morse boundary of a critical s is the sum of [s : t] Phi(t) over its
+facets t, where Phi follows the gradient paths:
+  Phi(t) = t if t is critical;
+  Phi(t) = 0 if t is paired with a face below it;
+  Phi(t) = -[u : t] * sum of [u : t'] Phi(t') over the facets t' != t of
+           u, if t is paired with u = t + x above it;
+with [u : u ∖ {y}] = (-1)^k for y the k-th lowest vertex of u.  Phi is
+memoised on face masks, and a face finds its partner by walking the tree
+from the root, so no table of faces is kept.
 """
 
 from __future__ import annotations
@@ -18,7 +57,9 @@ import heapq
 from dataclasses import dataclass
 from math import gcd, lcm
 
+from . import graphs
 from .complexes import SimplicialComplex
+from .graphs import Graph
 
 
 def _is_prime(n: int) -> bool:
@@ -235,13 +276,23 @@ def _subtract(trow: dict[int, int], t: int, terms, g: int, p: int, cols) -> None
 
 def _rows(m: SparseMatrix, p: int) -> dict[int, dict[int, int]]:
     """The nonzero rows {row: {column: value}} of m, mod p if p, for
-    `_eliminate`.  A matrix with more columns than rows is given as its
-    transpose: on the wide h.s.o.p. multiplication matrices the
-    shortest-row pivots then fill in far less (the whiskered 5-vertex path
-    verifies about 4x faster), and elsewhere it measured the same."""
+    `_eliminate`, transposed as needed so that the rows lie along the
+    longer side of a sparse m and along the shorter side of a dense one
+    (at least a tenth of the entries nonzero).  On the sparse h.s.o.p.
+    multiplication matrices many short rows fill in far less under the
+    shortest-row pivots (the whiskered 5-vertex path verifies about 4x
+    faster than with the wide side as rows).  A dense matrix fills in
+    anyway, and every row beyond the rank must be reduced to zero: the
+    Morse matrix of D(11), 1504 x 568 with 30 % nonzero, took 1.1-1.7 s
+    over Z with its 568 columns as rows against 2.8-3.5 s with its 1504
+    rows.  Elsewhere the orientation measured the same."""
     rows: dict[int, dict[int, int]] = {}
     entries = m.entries
-    if m.row_count < m.col_count:
+    if 10 * len(entries) >= m.row_count * m.col_count:  # dense
+        transpose = m.row_count > m.col_count
+    else:
+        transpose = m.row_count < m.col_count
+    if transpose:
         entries = ((c, r, v) for r, c, v in entries)
     for r, c, v in entries:
         if p:
@@ -260,31 +311,211 @@ def rank(m: SparseMatrix, field: FieldSpec = QQ) -> int:
     return _eliminate(_rows(m, p), p)[0]
 
 
-def reduced_betti_table(c: SimplicialComplex, fields: list[FieldSpec]) -> list[BettiTable]:
-    """Reduced Betti numbers dim H~_i(c; field) for -1 <= i <= dim c, one
-    table per field, in order: H~_i = f_i - rank d_i - rank d_{i+1}.
+def _betti_tables(
+    fields: list[FieldSpec], chain: tuple[int, ...], matrices, known: tuple[int, ...] = ()
+) -> list[BettiTable]:
+    """One table per field, in order: H~_i = c_i - rank d_i - rank d_{i+1}
+    for the chain ranks c_{-1}, c_0, ... and the maps d_0, d_1, ...  The
+    ranks of the first maps are `known`; each of the rest comes from one
+    matrix of `matrices`, built when it is ranked; d_{-1} and the map
+    above the last chain group are zero.
 
-    Only d_1 .. d_dim are built and ranked.  d_{dim+1} is the zero map, and
-    the augmentation d_0 is one all-ones row, of rank 1 over every field
-    when c has a vertex.  Each matrix is built once.  With Q among the
-    fields it is eliminated once over Z, and a prime that elimination does
-    not flag takes the same rank; every other prime is eliminated mod p.
-    The void complex yields an all-zero (empty) table by convention.
-    """
-    if c.is_void:
-        return [BettiTable(f, ()) for f in fields]
-    ranks = {f: [] for f in fields}  # ranks[f][i - 1] = rank of d_i over f
+    With Q among the fields a matrix is eliminated once over Z, and a prime
+    that elimination does not flag takes the same rank; every other prime
+    is eliminated mod p (see `_eliminate`)."""
+    ranks = {f: list(known) for f in fields}
     over_z = QQ in ranks
-    for i in range(1, c.dim + 1):
-        m = boundary_matrix(c, i)
+    for m in matrices:
         if over_z:
             rq, bad = _eliminate(_rows(m, 0), 0)
         for f, r in ranks.items():
             p = f.characteristic
             r.append(rq if over_z and (p == 0 or bad % p) else rank(m, f))
-    chain = (1, *c.face_counts())  # f_{-1} .. f_dim
     tables = []
     for f in fields:
-        r = (0, min(1, c.dim + 1), *ranks[f], 0)  # rank d_{-1} .. d_{dim+1}
+        r = (0, *ranks[f], 0)
         tables.append(BettiTable(f, tuple(n - a - b for n, a, b in zip(chain, r, r[1:]))))
     return tables
+
+
+def reduced_betti_table(c: SimplicialComplex, fields: list[FieldSpec]) -> list[BettiTable]:
+    """Reduced Betti numbers dim H~_i(c; field) for -1 <= i <= dim c, one
+    table per field, in order: H~_i = f_i - rank d_i - rank d_{i+1}.
+
+    Only d_1 .. d_dim are built and ranked, each once.  d_{dim+1} is the
+    zero map, and the augmentation d_0 is one all-ones row, of rank 1 over
+    every field when c has a vertex.  The void complex yields an all-zero
+    (empty) table by convention.
+    """
+    if c.is_void:
+        return [BettiTable(f, ()) for f in fields]
+    matrices = (boundary_matrix(c, i) for i in range(1, c.dim + 1))
+    return _betti_tables(fields, (1, *c.face_counts()), matrices, (min(1, c.dim + 1),))
+
+
+def _move(neighbor_masks: tuple[int, ...], free: int) -> int:
+    """The rule of the matching tree at a node with free vertex mask
+    `free` (not 0): ~v to toggle v, the lowest free vertex with no free
+    neighbour; else p to split on p, the free neighbour of the lowest free
+    vertex with exactly one, or else the free vertex with the most free
+    neighbours, lowest first."""
+    forced = top = best = -1
+    rest = free
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        around = neighbor_masks[v] & free
+        if not around:
+            return ~v
+        degree = around.bit_count()
+        if degree == 1 and forced < 0:
+            forced = around.bit_length() - 1
+        if degree > top:
+            top, best = degree, v
+    return forced if forced >= 0 else best
+
+
+class _MatchingTree:
+    """The matching tree of Ind(g), walked one chain at a time.  The chain
+    of a node is its path down that puts every split vertex in B.  It is
+    kept, keyed by the node's free mask, as ({bit of a split vertex: its
+    step}, [(split vertex, free mask of the child that puts it in A)], the
+    vertex toggled at its end, or None if it ends at a leaf)."""
+
+    def __init__(self, g: Graph):
+        self.neighbors = g.neighbor_masks
+        self.closed = [m | 1 << v for v, m in enumerate(self.neighbors)]
+        self.root = (1 << g.vertex_count) - 1
+        self.chains: dict[int, tuple[dict[int, int], list[tuple[int, int]], int | None]] = {}
+
+    def chain(self, free: int) -> tuple[dict[int, int], list[tuple[int, int]], int | None]:
+        head, step, splits, end = free, {}, [], None
+        while free:
+            p = _move(self.neighbors, free)
+            if p < 0:
+                end = ~p
+                break
+            step[1 << p] = len(splits)
+            splits.append((p, free & ~self.closed[p]))
+            free ^= 1 << p
+        self.chains[head] = step, splits, end
+        return step, splits, end
+
+    def critical_cells(self, alpha: int) -> list[list[int]]:
+        """The critical cells by size 0..alpha, each size in increasing
+        mask order: the set A of every leaf."""
+        cells: list[list[int]] = [[] for _ in range(alpha + 1)]
+        heads = [(0, self.root)]  # (A, free) at the head of a chain
+        while heads:
+            a, free = heads.pop()
+            _, splits, end = self.chain(free)
+            if end is None:
+                cells[a.bit_count()].append(a)
+            heads.extend((a | 1 << p, inner) for p, inner in splits)
+        for level in cells:
+            level.sort()
+        return cells
+
+    def partner(self, face: int) -> int | None:
+        """The vertex x that pairs face with face ^ {x}, or None if face is
+        critical: the walk from the root to the node that holds face,
+        leaving each chain at its first split on a vertex of face."""
+        free, chains = self.root, self.chains
+        while True:
+            step, splits, end = chains.get(free) or self.chain(free)
+            first = None
+            rest = face & free
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = step.get(low)
+                if i is not None and (first is None or i < first):
+                    first = i
+            if first is None:
+                return end
+            free = splits[first][1]
+
+
+def _facets(face: int):
+    """(sign, facet) for each facet of the face mask, the facet without the
+    k-th lowest vertex carrying (-1)^k as in `boundary_matrix`."""
+    sign, rest = 1, face
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        yield sign, face ^ low
+        sign = -sign
+
+
+def _flow(
+    face: int, flow: dict[int, dict[int, int]], index: dict[int, int], tree: _MatchingTree
+) -> dict[int, int]:
+    """Phi(face) as {index of a critical cell: coefficient}, memoised in
+    `flow`.  An explicit stack, not recursion: the gradient paths below a
+    face can be longer than the interpreter's recursion limit.  A face
+    paired with up = face + x waits on the stack, with its terms, until
+    the Phi of every other facet of up is known."""
+    stack: list[tuple[int, list[tuple[int, int]] | None]] = [(face, None)]
+    while stack:
+        t, terms = stack.pop()
+        if t in flow:
+            continue
+        if terms is None:
+            x = tree.partner(t)
+            if x is None:
+                flow[t] = {index[t]: 1}
+                continue
+            if t >> x & 1:  # the upper face of its pair
+                flow[t] = {}
+                continue
+            facets = list(_facets(t | 1 << x))  # of up = t + x
+            s = next(sign for sign, f in facets if f == t)  # [up : t]
+            terms = [(-s * sign, f) for sign, f in facets if f != t]
+            todo = [(f, None) for _, f in terms if f not in flow]
+            if todo:
+                stack.append((t, terms))
+                stack += todo
+                continue
+        phi: dict[int, int] = {}
+        for sign, f in terms:
+            for r, v in flow[f].items():
+                phi[r] = phi.get(r, 0) + sign * v
+        flow[t] = {r: v for r, v in phi.items() if v}
+    return flow[face]
+
+
+def _morse_boundary(tree: _MatchingTree, rows: list[int], cols: list[int]) -> SparseMatrix:
+    """The Morse boundary from the critical cells `cols` to the critical
+    cells `rows`, one size lower: column j is the sum of [s : t] Phi(t)
+    over the facets t of s = cols[j]."""
+    entries = []
+    if rows and cols:
+        index = {t: r for r, t in enumerate(rows)}
+        flow: dict[int, dict[int, int]] = {}
+        for j, cell in enumerate(cols):
+            column: dict[int, int] = {}
+            for sign, t in _facets(cell):
+                for r, v in _flow(t, flow, index, tree).items():
+                    column[r] = column.get(r, 0) + sign * v
+            entries.extend((r, j, v) for r, v in column.items() if v)
+    return SparseMatrix(len(rows), len(cols), tuple(entries))
+
+
+def _morse_complex(g: Graph) -> tuple[tuple[int, ...], list[SparseMatrix]]:
+    """(c, d): c[k] critical cells of size k, that is of dimension k - 1,
+    for 0 <= k <= alpha(g), and d[k - 1] the Morse boundary from size k to
+    size k - 1, for the matching tree of g."""
+    tree = _MatchingTree(g)
+    cells = tree.critical_cells(graphs.independence_number(g))
+    matrices = [_morse_boundary(tree, low, high) for low, high in zip(cells, cells[1:])]
+    return tuple(map(len, cells)), matrices
+
+
+def independence_betti_table(g: Graph, fields: list[FieldSpec]) -> list[BettiTable]:
+    """Reduced Betti numbers of Ind(g) for -1 <= i < alpha(g), one table per
+    field, in order, as `reduced_betti_table(independence_complex(g),
+    fields)` gives them, from the Morse complex of the matching tree: no
+    face list and no boundary matrix of Ind(g) is built."""
+    chain, matrices = _morse_complex(g)
+    return _betti_tables(fields, chain, matrices)

@@ -1,7 +1,8 @@
-"""Reference code the tests compare the library against: the canonical
-identification of the links of D(n), complete graphs, vertex relabelling, subset closure,
-connected components, the Hilbert function of R/I(G), dense boundary
-matrices, and the writers of the two text formats the CLI reads."""
+"""Reference code the tests compare the library against: D(n) with all of
+its faces, the canonical identification of the links of D(n), complete
+graphs, vertex relabelling, subset closure, connected components, the
+Hilbert function of R/I(G), dense boundary matrices, and the writers of
+the two text formats the CLI reads."""
 
 import itertools
 import math
@@ -9,9 +10,17 @@ import math
 import numpy as np
 
 from tricm import graphs
-from tricm.complexes import VOID, SimplicialComplex, from_faces, triangular_complex
+from tricm.complexes import VOID, SimplicialComplex, from_faces, independence_complex
 from tricm.graphs import Graph
 from tricm.homology import SparseMatrix
+
+
+def triangular_complex(n: int) -> SimplicialComplex:
+    """D(n), the independence complex of T_n, with every face listed; void
+    for n < 2."""
+    if n < 2:
+        return VOID
+    return independence_complex(graphs.triangular(n))
 
 
 def pair_rank(i: int, j: int, n: int) -> int:

@@ -21,10 +21,16 @@ import time
 import pytest
 
 from tricm import cli, cmcheck, complexes, graphs, homology, ideals
-from tricm.complexes import triangular_complex, triangular_f_closed
+from tricm.complexes import triangular_f_closed
 from tricm.homology import QQ, FieldSpec
 
-from oracles import component_count, link_triangular_witness, relabel, to_dense
+from oracles import (
+    component_count,
+    link_triangular_witness,
+    relabel,
+    to_dense,
+    triangular_complex,
+)
 from test_ideals import telescoping_check
 
 
@@ -204,6 +210,13 @@ def test_criterion_6_nightly_t9():
         ideals.NOT_REGULAR,
         ideals.NOT_HSOP_WITHIN_CAP,
     )
+
+
+def test_d11_char0_from_the_matching_tree():
+    """H~(D(11); Q) from the Morse complex of T_11's matching tree, whose
+    one nonzero matrix is eliminated over Z, equals Bouc's prediction."""
+    t = homology.independence_betti_table(graphs.triangular(11), [QQ])[0]
+    assert t.dims == bouc_betti(11)
 
 
 @pytest.mark.skipif(

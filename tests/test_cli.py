@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from tricm import cli, complexes, graphs, ideals
+from tricm import cli, complexes, graphs, homology, ideals
 from tricm.cli import main
+from tricm.homology import QQ, FieldSpec
 
-from oracles import serialize
+from oracles import serialize, triangular_complex
 
 
 def run(capsys, argv):
@@ -152,12 +153,24 @@ class TestFaceEnumeration:
             assert calls == {"independence_complex": 1, "independent_sets": 1}
 
     @pytest.mark.parametrize("p", ["3", "5"])
-    def test_triangular_classify_builds_each_complex_once(self, capsys, calls, p):
-        # D(3), D(5), D(7) and D(9) serve every field; over F_3 the scan
-        # stops at D(7), but Q still needs D(9)
+    def test_triangular_classify_builds_each_complex_once(self, capsys, calls, monkeypatch, p):
+        # D(3), D(5), D(7) and D(9) each get one table call for every field
+        # still pending, from the matching tree of T_l, so no complex and
+        # no face is built; over F_3 the scan stops at D(7), but Q still
+        # needs D(9)
+        asked = []
+        real = homology.independence_betti_table
+        monkeypatch.setattr(
+            homology,
+            "independence_betti_table",
+            lambda g, fields: asked.append((g.vertex_count, list(fields))) or real(g, fields),
+        )
         rc, out, _ = run(capsys, ["classify", "--triangular", "9", "--char", "0", "--char", p])
         assert rc == 0 and f"char {p}: NOT_CM (method: reisner-parity)" in out
-        assert calls["independence_complex"] == 4
+        assert calls == {}
+        both = [QQ, FieldSpec(int(p))]
+        last = [QQ] if p == "3" else both
+        assert asked == [(3, both), (10, both), (21, both), (36, last)]
 
     def test_full_triangular_route_computes_one_profile(self, capsys, monkeypatch):
         # the full route's h-screen reads the profile that the CLI's T_12
@@ -300,7 +313,7 @@ class TestHomology:
 
     def test_complex_file(self, capsys, tmp_path):
         cpath = tmp_path / "c.cplx"
-        cpath.write_text(serialize(complexes.triangular_complex(5)))
+        cpath.write_text(serialize(triangular_complex(5)))
         rc, out, _ = run(capsys, ["homology", "--complex", str(cpath)])
         assert rc == 0
         assert "(0,0,6)" in out
@@ -449,7 +462,7 @@ class TestErrorsAndExitCodes:
 
 def _complex_file(tmp_path):
     cpath = tmp_path / "c.cplx"
-    cpath.write_text(serialize(complexes.triangular_complex(5)))
+    cpath.write_text(serialize(triangular_complex(5)))
     return str(cpath)
 
 

@@ -15,10 +15,10 @@ from tricm.cmcheck import (
     reisner_check,
     reisner_triangular,
 )
-from tricm.complexes import from_faces, triangular_complex
+from tricm.complexes import from_faces
 from tricm.homology import QQ, FieldSpec
 
-from oracles import complete
+from oracles import complete, triangular_complex
 
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
 
@@ -349,14 +349,24 @@ class TestReisnerTriangular:
         [v] = reisner_triangular(7, [F3])
         assert v.witnesses == (Witness("delta(7)", "homology", 1, 1),)
 
-    def test_scans_past_a_failed_field(self, monkeypatch):
+    @pytest.fixture
+    def no_faces(self, monkeypatch):
+        """Fails the test if a complex or a face list is built."""
+
+        def refuse(*args):
+            raise AssertionError("built the faces of a complex")
+
+        monkeypatch.setattr(complexes, "independence_complex", refuse)
+        monkeypatch.setattr(graphs, "independent_sets", refuse)
+
+    def test_scans_past_a_failed_field(self, monkeypatch, no_faces):
         # F_3 fails at D(7); the scan goes on to D(9) over Q alone
         seen = []
-        real = homology.reduced_betti_table
+        real = homology.independence_betti_table
         monkeypatch.setattr(
             homology,
-            "reduced_betti_table",
-            lambda c, fields: seen.append(list(fields)) or real(c, fields),
+            "independence_betti_table",
+            lambda g, fields: seen.append(list(fields)) or real(g, fields),
         )
         assert reisner_triangular(9, [F3, QQ]) == [
             CmVerdict(NOT_CM, F3, (Witness("delta(7)", "homology", 1, 1),), "reisner-parity"),
@@ -365,38 +375,46 @@ class TestReisnerTriangular:
         assert seen == [[F3, QQ]] * 3 + [[QQ]]
 
     @pytest.mark.parametrize("p,calls", [(1000003, 0), (2, 1), (3, 1)])
-    def test_mod_p_ranks_only_where_z_flags(self, monkeypatch, p, calls):
-        # next to Q a prime reuses the rank over Z of every boundary map
+    def test_mod_p_ranks_only_where_z_flags(self, monkeypatch, no_faces, p, calls):
+        # next to Q a prime reuses the rank over Z of every Morse matrix
         # whose elimination over Z it does not flag, and is eliminated mod
-        # p once for each map it does flag: over F_3 that is d_2 of D(7),
-        # over F_2 d_3 of D(9)
+        # p once for each matrix it does flag: over F_3 that is the one
+        # Morse matrix of D(7) (bad 3), over F_2 the one of D(9) (bad 6)
         field = FieldSpec(p)
         asked, mod_p = [], []
-        real_table, real_rank = homology.reduced_betti_table, homology.rank
+        real_table, real_rank = homology.independence_betti_table, homology.rank
 
-        def spy_table(c, fields):
-            asked.append((c, list(fields)))
-            return real_table(c, fields)
+        def spy_table(g, fields):
+            asked.append((g, list(fields)))
+            return real_table(g, fields)
 
         def spy_rank(m, f=QQ):
             if f.characteristic:
                 mod_p.append((f, m.row_count, m.col_count))
             return real_rank(m, f)
 
-        monkeypatch.setattr(homology, "reduced_betti_table", spy_table)
+        monkeypatch.setattr(homology, "independence_betti_table", spy_table)
         monkeypatch.setattr(homology, "rank", spy_rank)
         verdicts = reisner_triangular(9, [QQ, field])
-        monkeypatch.undo()
-        assert verdicts == reisner_triangular(9, [QQ]) + reisner_triangular(9, [field])
-        flagged = []
-        for c, fields in asked:
-            for i in range(c.dim + 2):
-                m = homology.boundary_matrix(c, i)
+        assert [(g.vertex_count, fields) for g, fields in asked] == [
+            (3, [QQ, field]),
+            (10, [QQ, field]),
+            (21, [QQ, field]),
+            (36, [QQ] if p == 3 else [QQ, field]),
+        ]
+        monkeypatch.setattr(homology, "rank", real_rank)
+        flagged, bads = [], []
+        for g, fields in asked:
+            for m in homology._morse_complex(g)[1]:
                 bad = homology._eliminate(homology._rows(m, 0), 0)[1]
+                bads.append(bad)
                 if field in fields and bad % p == 0:
                     flagged.append((field, m.row_count, m.col_count))
+        assert [b for b in bads if b > 1] == [3, 6]
         assert mod_p == flagged
         assert len(mod_p) == calls
+        monkeypatch.undo()
+        assert verdicts == reisner_triangular(9, [QQ]) + reisner_triangular(9, [field])
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_agrees_with_full_check(self, n):

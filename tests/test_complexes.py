@@ -15,7 +15,6 @@ from tricm.complexes import (
     independence_complex,
     link,
     restrict_relabel,
-    triangular_complex,
     triangular_f_closed,
 )
 
@@ -26,6 +25,7 @@ from oracles import (
     link_triangular_witness,
     relabel,
     serialize,
+    triangular_complex,
 )
 
 

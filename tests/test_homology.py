@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -7,17 +9,25 @@ import numpy as np
 import pytest
 
 from tricm import complexes, graphs, homology
-from tricm.complexes import from_faces, triangular_complex
+from tricm.complexes import from_faces
 from tricm.homology import (
     QQ,
     FieldSpec,
     SparseMatrix,
     boundary_matrix,
+    independence_betti_table,
     rank,
     reduced_betti_table,
 )
 
-from oracles import closure, component_count, rank_mod_p, relabel, to_dense
+from oracles import (
+    closure,
+    component_count,
+    rank_mod_p,
+    relabel,
+    to_dense,
+    triangular_complex,
+)
 
 
 def fraction_rank(dense):
@@ -445,6 +455,133 @@ def test_h0_counts_components(char):
         assert [(t.field, t.dims) for t in tables] == [(f, dims), (QQ, dims), (f, dims)]
 
 
+def union(*ns):
+    """The disjoint union of T_n for n in ns, each relabelled after the
+    ones before it; its independence complex is the join of the D(n)."""
+    edges, shift = [], 0
+    for n in ns:
+        t = graphs.triangular(n)
+        edges += [(u + shift, v + shift) for u, v in t.edges]
+        shift += t.vertex_count
+    return graphs.Graph(shift, tuple(edges))
+
+
+def random_graph(rng, n, p):
+    edges = tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < p)
+    return graphs.Graph(n, edges)
+
+
+def join_dims(a, b):
+    """Reduced Betti numbers of the join of two complexes over a field,
+    from theirs (each indexed from -1): b~_{r+1}(A * B) is the sum of
+    b~_i(A) b~_j(B) over i + j = r."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+MORSE_FIELDS = [QQ, FieldSpec(2), FieldSpec(3), FieldSpec(5)]
+
+
+class TestMorseTables:
+    """`independence_betti_table`, from the Morse complex of the matching
+    tree, against the tables of the boundary matrices and against theory."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_triangular(self, n):
+        g = graphs.triangular(n)
+        expected = reduced_betti_table(triangular_complex(n), MORSE_FIELDS)
+        assert independence_betti_table(g, MORSE_FIELDS) == expected
+
+    def test_random_graphs(self):
+        rng = random.Random(26)
+        for _ in range(1000):
+            g = random_graph(rng, rng.randint(1, 13), rng.random())
+            expected = reduced_betti_table(complexes.independence_complex(g), MORSE_FIELDS)
+            assert independence_betti_table(g, MORSE_FIELDS) == expected, g
+
+    def test_empty_graph(self):
+        # Ind of the graph on no vertex is {∅}; its one cell ∅ is critical
+        assert independence_betti_table(graphs.Graph(0, ()), [QQ])[0].dims == (1,)
+
+    def test_join(self):
+        # T_7 + T_7 has critical cells in three consecutive dimensions,
+        # and its table is the join product of two tables of D(7)
+        g = union(7, 7)
+        assert homology._morse_complex(g)[0] == (0, 0, 0, 0, 9, 138, 529)
+        for t, d7 in zip(independence_betti_table(g, MORSE_FIELDS),
+                         independence_betti_table(graphs.triangular(7), MORSE_FIELDS)):
+            assert t.dims == join_dims(d7.dims, d7.dims)
+
+    def test_repeated_fields_keep_their_order(self):
+        fields = [FieldSpec(3), QQ, FieldSpec(3)]
+        tables = independence_betti_table(graphs.triangular(7), fields)
+        assert [(t.field, t.dims) for t in tables] == [
+            (fields[0], (0, 0, 1, 21)),
+            (QQ, (0, 0, 0, 20)),
+            (fields[2], (0, 0, 1, 21)),
+        ]
+
+    @pytest.fixture(scope="class")
+    def morse_complexes(self):
+        """(graph, its Morse complex) for D(2..10), three joins of D(n)s
+        and 300 seeded random graphs."""
+        rng = random.Random(27)
+        gs = [graphs.triangular(n) for n in range(2, 11)]
+        gs += [union(7, 7), union(7, 7, 3), union(7, 8)]
+        gs += [random_graph(rng, rng.randint(1, 13), rng.random()) for _ in range(300)]
+        return [(g, homology._morse_complex(g)) for g in gs]
+
+    def test_boundary_of_boundary(self, morse_complexes):
+        nonzero = 0
+        for g, (cells, matrices) in morse_complexes:
+            assert [(m.row_count, m.col_count) for m in matrices] == list(zip(cells, cells[1:]))
+            for low, high in zip(matrices, matrices[1:]):
+                assert not (to_dense(low) @ to_dense(high)).any(), g
+                nonzero += bool(low.entries and high.entries)
+        # the matching tree leaves critical cells in at most two adjacent
+        # dimensions on each D(n) and random graph here; the joins have three
+        assert nonzero == 3
+
+    def test_euler_characteristic(self, morse_complexes):
+        # sum (-1)^i c_i over the critical cells is the reduced Euler
+        # characteristic sum (-1)^i f_i over the faces
+        def alternating(xs):
+            return sum((-1) ** k * x for k, x in enumerate(xs))
+
+        for g, (cells, _) in morse_complexes:
+            faces = graphs.independence_profile(g)[0]
+            assert len(cells) == len(faces)
+            assert alternating(cells) == alternating(faces), g
+
+    def test_rows_that_vanish_mod_p_are_dropped(self):
+        # 24 rows of a Morse matrix of T_7 + T_8, as `_rows` gives it to
+        # the elimination, vanish mod 2 and 3 mod 3 but none over Z;
+        # `_eliminate` takes only nonzero rows, so they must be dropped
+        g = union(7, 8)
+        m = max(homology._morse_complex(g)[1], key=lambda m: len(m.entries))
+        over_z = len(homology._rows(m, 0))
+        assert [over_z - len(homology._rows(m, p)) for p in (2, 3, 5)] == [24, 3, 0]
+        parts = [independence_betti_table(graphs.triangular(n), MORSE_FIELDS) for n in (7, 8)]
+        for t, a, b in zip(independence_betti_table(g, MORSE_FIELDS), *parts):
+            assert t.dims == join_dims(a.dims, b.dims)
+
+    def test_flow_needs_no_recursion(self):
+        # the gradient paths of D(10) run deeper than 25 frames; Phi is
+        # computed with an explicit stack, so a tight recursion limit holds
+        g = graphs.triangular(10)
+        expected = reduced_betti_table(triangular_complex(10), [QQ])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 25)
+        try:
+            tables = independence_betti_table(g, [QQ])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tables == expected
+
+
 def _table_from_every_boundary(c, char):
     """The reduced Betti numbers from the ranks of every d_i, 0 <= i <=
     dim + 1, each built as a matrix: over Q by `homology.rank`, over F_p
@@ -493,6 +630,12 @@ class TestZRankReuse:
     def test_boundary_matrices(self, n):
         c = triangular_complex(n)
         assert sum(self.reused(boundary_matrix(c, i)) for i in range(c.dim + 2)) > 0
+
+    @pytest.mark.parametrize("g", [graphs.triangular(n) for n in (7, 9, 10)] + [union(7, 7)],
+                             ids=["delta7", "delta9", "delta10", "delta7*delta7"])
+    def test_morse_matrices(self, g):
+        # entries up to 45 in absolute value on D(10)
+        assert sum(self.reused(m) for m in homology._morse_complex(g)[1]) > 0
 
 
 PRIMES = (2, 3, 97, 2**31 - 1)  # 2^31 - 1: products of two entries near 2^62
