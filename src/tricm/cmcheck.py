@@ -34,8 +34,9 @@ CM = "CM"
 NOT_CM = "NOT_CM"
 # the reduced Betti numbers of one complex over each of a list of fields
 Tables = Callable[[list[FieldSpec]], list[tuple[int, ...]]]
-# (witness id, dimension, Betti numbers) for the Reisner loop, pulled lazily
-Candidates = Iterable[tuple[str, int, Tables]]
+# (witness id, dimension, Betti numbers) for the Reisner loop, pulled
+# lazily; dimension None is that of the complex the numbers belong to
+Candidates = Iterable[tuple[str, int | None, Tables]]
 
 
 @dataclass(frozen=True)
@@ -216,14 +217,16 @@ def _tables(betti_table, x) -> Tables:
 def _reisner(candidates: Candidates, fields: list[FieldSpec], method: str) -> list[CmVerdict]:
     """One verdict per field, in order: NOT_CM with the first candidate
     (witness id, dimension d, Betti numbers) that has H~_i != 0 over that
-    field for some i < d, CM if none has.  A candidate is asked once for
+    field for some i < d, CM if none has; d = None is the dimension of the
+    candidate's own complex, len(table) - 2.  A candidate is asked once for
     the Betti numbers over all the fields not yet failed; none is pulled
     once every field has failed."""
     failed: dict[FieldSpec, Witness] = {}
     pending = list(fields)
     for wid, dim, tables in candidates:
         for field, dims in zip(pending, tables(pending)):
-            hit = next(((i, b) for i, b in enumerate(dims[: dim + 1], start=-1) if b), None)
+            top = len(dims) - 1 if dim is None else dim + 1
+            hit = next(((i, b) for i, b in enumerate(dims[:top], start=-1) if b), None)
             if hit is not None:
                 failed[field] = Witness(wid, "homology", *hit)
         pending = [field for field in pending if field not in failed]
@@ -291,10 +294,8 @@ def reisner_triangular(n: int, fields: list[FieldSpec]) -> list[CmVerdict]:
 
     def candidates() -> Candidates:
         for l in range(2 + n % 2, n + 1, 2):
-            # D(l) has dimension l // 2 - 1: every maximal matching of K_l
-            # has l // 2 edges
             tables = _tables(homology.independence_betti_table, graphs.triangular(l))
-            yield f"delta({l})", l // 2 - 1, tables
+            yield f"delta({l})", None, tables
 
     return _reisner(candidates(), fields, "reisner-parity")
 

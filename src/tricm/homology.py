@@ -276,23 +276,13 @@ def _subtract(trow: dict[int, int], t: int, terms, g: int, p: int, cols) -> None
 
 def _rows(m: SparseMatrix, p: int) -> dict[int, dict[int, int]]:
     """The nonzero rows {row: {column: value}} of m, mod p if p, for
-    `_eliminate`, transposed as needed so that the rows lie along the
-    longer side of a sparse m and along the shorter side of a dense one
-    (at least a tenth of the entries nonzero).  On the sparse h.s.o.p.
-    multiplication matrices many short rows fill in far less under the
-    shortest-row pivots (the whiskered 5-vertex path verifies about 4x
-    faster than with the wide side as rows).  A dense matrix fills in
-    anyway, and every row beyond the rank must be reduced to zero: the
-    Morse matrix of D(11), 1504 x 568 with 30 % nonzero, took 1.1-1.7 s
-    over Z with its 568 columns as rows against 2.8-3.5 s with its 1504
-    rows.  Elsewhere the orientation measured the same."""
+    `_eliminate`.  A matrix with more columns than rows is given as its
+    transpose: on the wide h.s.o.p. multiplication matrices the
+    shortest-row pivots then fill in far less (the whiskered 5-vertex path
+    verifies about 4x faster), and elsewhere it measured the same."""
     rows: dict[int, dict[int, int]] = {}
     entries = m.entries
-    if 10 * len(entries) >= m.row_count * m.col_count:  # dense
-        transpose = m.row_count > m.col_count
-    else:
-        transpose = m.row_count < m.col_count
-    if transpose:
+    if m.row_count < m.col_count:
         entries = ((c, r, v) for r, c, v in entries)
     for r, c, v in entries:
         if p:
