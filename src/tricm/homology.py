@@ -8,8 +8,7 @@ column.  A Betti table over a list of fields ranks each of its matrices
 once per field (`_betti_tables`).  With Q in the list it eliminates each
 matrix once over Z, and that rank is also the rank over F_p for every
 prime p that the elimination does not flag (see `_eliminate`); only a
-flagged prime gets an elimination mod p.  The prime of the h.s.o.p.
-certificate, `CERT_PRIME`, lives in `ideals`.
+flagged prime gets an elimination mod p.
 
 A complex's table (`reduced_betti_table`) ranks its boundary matrices
 d_1 .. d_dim.  The table of an independence complex Ind(g)
@@ -47,8 +46,10 @@ facets t, where Phi follows the gradient paths:
   Phi(t) = -[u : t] * sum of [u : t'] Phi(t') over the facets t' != t of
            u, if t is paired with u = t + x above it;
 with [u : u ∖ {y}] = (-1)^k for y the k-th lowest vertex of u.  Phi is
-memoised on face masks, and a face finds its partner by walking the tree
-from the root, so no table of faces is kept.
+memoised on face masks.  The tree is kept one node per free mask, as the
+rule depends on nothing else, and each mask's rule is computed once, the
+first time a walk reaches it.  A face finds its partner by walking the
+tree from the root, one node per level, so no table of faces is kept.
 """
 
 from __future__ import annotations
@@ -343,12 +344,13 @@ def reduced_betti_table(c: SimplicialComplex, fields: list[FieldSpec]) -> list[B
     return _betti_tables(fields, (1, *c.face_counts()), matrices, (min(1, c.dim + 1),))
 
 
-def _move(neighbor_masks: tuple[int, ...], free: int) -> int:
-    """The rule of the matching tree at a node with free vertex mask
-    `free` (not 0): ~v to toggle v, the lowest free vertex with no free
-    neighbour; else p to split on p, the free neighbour of the lowest free
-    vertex with exactly one, or else the free vertex with the most free
-    neighbours, lowest first."""
+def _move(neighbor_masks: tuple[int, ...], free: int) -> tuple[int, int, int]:
+    """The node of the matching tree at free vertex mask `free` (not 0):
+    (~v, 0, 0) to toggle v, the lowest free vertex with no free neighbour;
+    else (p, out, into) to split on p, the free neighbour of the lowest
+    free vertex with exactly one, or else the free vertex with the most
+    free neighbours, lowest first.  out and into are the free masks of the
+    children with p left out of I and with p put in A."""
     forced = top = best = -1
     rest = free
     while rest:
@@ -357,74 +359,58 @@ def _move(neighbor_masks: tuple[int, ...], free: int) -> int:
         v = low.bit_length() - 1
         around = neighbor_masks[v] & free
         if not around:
-            return ~v
+            return ~v, 0, 0
         degree = around.bit_count()
         if degree == 1 and forced < 0:
             forced = around.bit_length() - 1
         if degree > top:
             top, best = degree, v
-    return forced if forced >= 0 else best
+    p = forced if forced >= 0 else best
+    return p, free ^ 1 << p, free & ~(neighbor_masks[p] | 1 << p)
 
 
-class _MatchingTree:
-    """The matching tree of Ind(g), walked one chain at a time.  The chain
-    of a node is its path down that puts every split vertex in B.  It is
-    kept, keyed by the node's free mask, as ({bit of a split vertex: its
-    step}, [(split vertex, free mask of the child that puts it in A)], the
-    vertex toggled at its end, or None if it ends at a leaf)."""
+class _MatchingTree(dict[int, tuple[int, int, int]]):
+    """The matching tree of Ind(g), kept one node per free mask: the rule
+    at a node depends on its free mask alone, so `_move` computes it the
+    first time a walk looks that mask up, and never again."""
 
     def __init__(self, g: Graph):
+        super().__init__()
         self.neighbors = g.neighbor_masks
-        self.closed = [m | 1 << v for v, m in enumerate(self.neighbors)]
         self.root = (1 << g.vertex_count) - 1
-        self.chains: dict[int, tuple[dict[int, int], list[tuple[int, int]], int | None]] = {}
 
-    def chain(self, free: int) -> tuple[dict[int, int], list[tuple[int, int]], int | None]:
-        head, step, splits, end = free, {}, [], None
-        while free:
-            p = _move(self.neighbors, free)
-            if p < 0:
-                end = ~p
-                break
-            step[1 << p] = len(splits)
-            splits.append((p, free & ~self.closed[p]))
-            free ^= 1 << p
-        self.chains[head] = step, splits, end
-        return step, splits, end
+    def __missing__(self, free: int) -> tuple[int, int, int]:
+        node = self[free] = _move(self.neighbors, free)
+        return node
 
     def critical_cells(self, alpha: int) -> list[list[int]]:
         """The critical cells by size 0..alpha, each size in increasing
-        mask order: the set A of every leaf."""
+        mask order: the set A of every leaf with no free vertex."""
         cells: list[list[int]] = [[] for _ in range(alpha + 1)]
-        heads = [(0, self.root)]  # (A, free) at the head of a chain
-        while heads:
-            a, free = heads.pop()
-            _, splits, end = self.chain(free)
-            if end is None:
+        stack = [(0, self.root)]  # (A, free) of the nodes still to visit
+        while stack:
+            a, free = stack.pop()
+            if not free:
                 cells[a.bit_count()].append(a)
-            heads.extend((a | 1 << p, inner) for p, inner in splits)
+                continue
+            p, out, into = self[free]
+            if p >= 0:
+                stack += (a, out), (a | 1 << p, into)
         for level in cells:
             level.sort()
         return cells
 
     def partner(self, face: int) -> int | None:
         """The vertex x that pairs face with face ^ {x}, or None if face is
-        critical: the walk from the root to the node that holds face,
-        leaving each chain at its first split on a vertex of face."""
-        free, chains = self.root, self.chains
-        while True:
-            step, splits, end = chains.get(free) or self.chain(free)
-            first = None
-            rest = face & free
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                i = step.get(low)
-                if i is not None and (first is None or i < first):
-                    first = i
-            if first is None:
-                return end
-            free = splits[first][1]
+        critical: the walk from the root to the node that holds face, into
+        the child with p in A at each split on a vertex p of face."""
+        free = self.root
+        while free:
+            p, out, into = self[free]
+            if p < 0:
+                return ~p
+            free = into if face >> p & 1 else out
+        return None
 
 
 def _facets(face: int):

@@ -1,8 +1,9 @@
 """Reference code the tests compare the library against: D(n) with all of
 its faces, the canonical identification of the links of D(n), complete
 graphs, vertex relabelling, subset closure, connected components, the
-Hilbert function of R/I(G), dense boundary matrices, and the writers of
-the two text formats the CLI reads."""
+acyclicity of a matching on face masks, the Hilbert function of R/I(G),
+dense boundary matrices, and the writers of the two text formats the CLI
+reads."""
 
 import itertools
 import math
@@ -113,6 +114,35 @@ def component_count(c: SimplicialComplex) -> int:
             if ru != rv:
                 parent[ru] = rv
     return len({find(v) for v in verts})
+
+
+def acyclic_matching(faces, up: dict[int, int]) -> bool:
+    """Whether the modified Hasse diagram of the face masks `faces` has no
+    directed cycle, for the matching `up` from each matched lower face to
+    its upper face.  Every edge runs from a face down to a facet, except
+    that the edge of a matched pair runs up.  Kahn's algorithm: remove
+    faces with no incoming edge until every face is gone or a cycle is
+    left."""
+    edges: dict[int, list[int]] = {f: [] for f in faces}
+    incoming = dict.fromkeys(faces, 0)
+    for f in faces:
+        for v in range(f.bit_length()):
+            t = f & ~(1 << v)
+            if t == f:
+                continue
+            tail, head = (t, f) if up.get(t) == f else (f, t)
+            edges[tail].append(head)
+            incoming[head] += 1
+    ready = [f for f, n in incoming.items() if n == 0]
+    removed = 0
+    while ready:
+        f = ready.pop()
+        removed += 1
+        for h in edges[f]:
+            incoming[h] -= 1
+            if incoming[h] == 0:
+                ready.append(h)
+    return removed == len(incoming)
 
 
 def hilbert_function(g: Graph, d: int) -> int:

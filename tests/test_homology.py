@@ -21,6 +21,7 @@ from tricm.homology import (
 )
 
 from oracles import (
+    acyclic_matching,
     closure,
     component_count,
     rank_mod_p,
@@ -579,6 +580,71 @@ class TestMorseTables:
         finally:
             sys.setrecursionlimit(limit)
         assert tables == expected
+
+
+def face_masks(g):
+    """The independent sets of g as bit masks, by size."""
+    return [[sum(1 << v for v in s) for s in level] for level in graphs.independent_sets(g)]
+
+
+class TestMatchingTree:
+    """The matching of `_MatchingTree` against the faces of Ind(g)."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        """(faces by size, tree) for T_2..T_6 and 200 seeded random graphs
+        on at most 10 vertices."""
+        rng = random.Random(28)
+        gs = [graphs.triangular(n) for n in range(2, 7)]
+        gs += [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(200)]
+        return [(face_masks(g), homology._MatchingTree(g)) for g in gs]
+
+    def test_partner_is_an_involution(self, trees):
+        for levels, tree in trees:
+            faces = {f for level in levels for f in level}
+            for f in faces:
+                x = tree.partner(f)
+                if x is not None:
+                    assert f ^ 1 << x in faces
+                    assert tree.partner(f ^ 1 << x) == x
+
+    def test_critical_cells_are_the_unmatched_faces(self, trees):
+        for levels, tree in trees:
+            unmatched = [sorted(f for f in level if tree.partner(f) is None) for level in levels]
+            assert tree.critical_cells(len(levels) - 1) == unmatched
+
+    def test_matching_is_acyclic(self, trees):
+        for levels, tree in trees:
+            faces = [f for level in levels for f in level]
+            up = {}
+            for f in faces:
+                x = tree.partner(f)
+                if x is not None and not f >> x & 1:
+                    up[f] = f | 1 << x
+            assert acyclic_matching(faces, up)
+
+    def test_acyclicity_oracle(self):
+        # on the faces of the triangle {0, 1, 2}, pairing each vertex with
+        # the next edge around it closes the gradient path 0 → 01 → 1 →
+        # 12 → 2 → 02 → 0; leaving vertex 2 unpaired opens it
+        faces = range(8)
+        assert not acyclic_matching(faces, {0b001: 0b011, 0b010: 0b110, 0b100: 0b101})
+        assert acyclic_matching(faces, {0b001: 0b011, 0b010: 0b110})
+
+    @pytest.mark.parametrize("n, masks", [(9, 831), (11, 6848)])
+    def test_each_rule_is_computed_once(self, monkeypatch, n, masks):
+        # the tree keeps one node per free mask, so building the Morse
+        # complex computes the rule of each free mask it reaches once
+        seen = []
+        move = homology._move
+
+        def spy(neighbor_masks, free):
+            seen.append(free)
+            return move(neighbor_masks, free)
+
+        monkeypatch.setattr(homology, "_move", spy)
+        homology._morse_complex(graphs.triangular(n))
+        assert len(seen) == len(set(seen)) == masks
 
 
 def _table_from_every_boundary(c, char):
