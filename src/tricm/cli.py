@@ -13,6 +13,7 @@ Exit codes: 0 completed, 2 usage error, 3 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -157,6 +158,8 @@ def _cache_put(cachedir: str | None, key: str | None, report: dict):
             json.dump({"sha256": _body_digest(key, body), "body": body}, fh, sort_keys=True)
         os.replace(tmp, path)
     except OSError as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise InputError(f"cannot write cache entry in {cachedir}: {e}")
 
 

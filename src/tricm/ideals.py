@@ -19,11 +19,11 @@ delta survives in R/I(G) iff its support is independent, which is to say
 iff it is one of the degree-delta basis monomials; so one dictionary
 lookup both decides survival and gives the product's row.
 
-In characteristic zero the verifier first certifies through the large
-prime `CERT_PRIME`: ranks mod p only underestimate rational ranks while
-actual graded dimensions never drop below the expected ones, so a REGULAR
-verdict mod p pins the rational answer.  Any other verdict is decided
-again by exact elimination over Z.
+In characteristic zero each degree's matrix is ranked first mod the large
+prime `CERT_PRIME`.  Ranks mod p only underestimate rational ones, so the
+rational dimension is at most the mod-p one, and it never drops below the
+expected one; a mod-p dimension equal to the expected one is therefore
+exact.  Only a degree where they differ is ranked again, over Q.
 """
 
 from __future__ import annotations
@@ -177,16 +177,8 @@ def verify_regular(
     ]
     levels = graphs.independent_sets(g)
     basis = functools.cache(lambda d: _basis(levels, unit, d))
-    if field.characteristic == 0:
-        v = _verify_over(FieldSpec(CERT_PRIME), forms, basis, expected, cap)
-        if v.status == REGULAR:
-            return RegularityVerdict(REGULAR, field, v.per_degree, None)
-        # a prime does not certify a negative outcome over Q; fall back to
-        # exact rational elimination
-    return _verify_over(field, forms, basis, expected, cap)
-
-
-def _verify_over(field, forms, basis, expected, cap) -> RegularityVerdict:
+    # over Q each degree is ranked mod CERT_PRIME first (see the module docstring)
+    cert = FieldSpec(CERT_PRIME) if field.characteristic == 0 else field
     per_degree = []
     first_mismatch = None
     for delta in range(cap + 1):
@@ -203,8 +195,11 @@ def _verify_over(field, forms, basis, expected, cap) -> RegularityVerdict:
                     if row is not None:  # else m*t lies in the edge ideal
                         entries.append((row, col, 1))
                 col += 1
-        # a temporary matrix, so it is freed before the next degree is built
-        actual = len(index) - homology.rank(SparseMatrix(len(index), col, tuple(entries)), field)
+        mult = SparseMatrix(len(index), col, tuple(entries))
+        actual = len(index) - homology.rank(mult, cert)
+        if actual != e and field.characteristic == 0:
+            actual = len(index) - homology.rank(mult, field)
+        del mult  # freed before the next degree's matrix is built
         per_degree.append((delta, e, actual))
         if e >= 0 and actual < e:
             raise AssertionError(

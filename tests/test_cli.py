@@ -453,6 +453,19 @@ class TestErrorsAndExitCodes:
         assert rc == cli.EXIT_INPUT
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_cache_entry_is_a_directory(self, capsys, tmp_path):
+        # the entry cannot replace a directory; the temporary file must go
+        cache = tmp_path / "cache"
+        argv = ["vectors", "--triangular", "4", "--cache-dir", str(cache)]
+        run(capsys, argv)
+        (entry,) = cache.iterdir()
+        entry.unlink()
+        entry.mkdir()
+        rc, _, err = run(capsys, argv)
+        assert rc == cli.EXIT_INPUT
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert [p.name for p in cache.iterdir()] == [entry.name]
+
     def test_json_in_missing_directory(self, capsys, tmp_path):
         path = tmp_path / "no" / "such" / "report.json"
         rc, _, err = run(capsys, ["vectors", "--triangular", "4", "--json", str(path)])

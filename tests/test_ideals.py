@@ -23,6 +23,7 @@ from tricm.ideals import (
 from oracles import complete, hilbert_function
 
 F2, F3, F5 = FieldSpec(2), FieldSpec(3), FieldSpec(5)
+KINDS = (KIND_INDEPENDENT_SET_SUMS, KIND_POWER_SUMS)
 
 
 def brute_hilbert(g, d):
@@ -80,8 +81,8 @@ def naive_graded_dims(g, seq, field, degrees):
     return dims
 
 
-def random_graph(rng):
-    n = rng.randint(1, 5)
+def random_graph(rng, max_vertices=5):
+    n = rng.randint(1, max_vertices)
     edges = tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4)
     return Graph(n, edges)
 
@@ -234,8 +235,9 @@ class TestVerifyRegular:
 
     @pytest.mark.parametrize("n,status", [(5, REGULAR), (4, NOT_REGULAR)])
     def test_q_route_certificate_then_exact(self, monkeypatch, n, status):
-        # over Q every degree is ranked mod CERT_PRIME first; only a
-        # verdict other than REGULAR is decided again, over Q
+        # over Q every degree is ranked once mod CERT_PRIME; only a degree
+        # whose dimension mod p differs from the expected one is ranked
+        # again over Q: on T_4 that is the failing degree 3
         chars = []
         real = homology.rank
 
@@ -247,13 +249,37 @@ class TestVerifyRegular:
         g = triangular(n)
         v = verify_regular(g, hsop(g, KIND_INDEPENDENT_SET_SUMS), QQ)
         assert v.status == status and v.field == QQ
-        degrees = len(v.per_degree)
-        if status == REGULAR:
-            assert chars == [ideals.CERT_PRIME] * degrees
-        else:
-            certified = len(chars) - degrees
-            assert certified > 0
-            assert chars == [ideals.CERT_PRIME] * certified + [0] * degrees
+        p = ideals.CERT_PRIME
+        assert chars == ([p] * 5 if status == REGULAR else [p, p, p, p, 0])
+        assert len(v.per_degree) == chars.count(p)
+
+    def test_q_shortcut_never_changes_a_verdict(self, monkeypatch):
+        # the reference ranks every CERT_PRIME matrix over Q instead
+        rng = random.Random(28)
+        gs = [triangular(n) for n in range(4, 8)] + [
+            random_graph(rng, max_vertices=8) for _ in range(30)
+        ]
+        cases = [(g, hsop(g, kind)) for g in gs for kind in KINDS]
+        # x + y and x^2 + xy = x(x + y): not an h.s.o.p. of K[x, y]
+        forms = ((((0, 1),), ((1, 1),)), (((0, 2),), ((0, 1), (1, 1))))
+        cases.append((Graph(2, ()), HsopSequence("custom", 2, forms)))
+
+        def verdicts():
+            return [
+                (v.status, v.failing_degree, v.per_degree)
+                for v in (verify_regular(g, seq, QQ) for g, seq in cases)
+            ]
+
+        fast = verdicts()
+        real = homology.rank
+
+        def exact(m, field=QQ):
+            return real(m, QQ if field.characteristic == ideals.CERT_PRIME else field)
+
+        monkeypatch.setattr(homology, "rank", exact)
+        assert fast == verdicts()
+        assert {s for s, _, _ in fast} == {REGULAR, NOT_REGULAR, NOT_HSOP_WITHIN_CAP}
+        assert fast[-1][:2] == (NOT_HSOP_WITHIN_CAP, 2)
 
     def test_t4_not_regular(self):
         # T_4 is not CM, so no h.s.o.p. is regular; degree 3 exposes it
