@@ -8,26 +8,25 @@ complex of the triangular graph T_n.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graphs
 from .graphs import Graph, set_to_mask
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimplicialComplex:
     """Faces grouped by dimension, each level sorted, each face an
     increasing tuple of vertices in 0..vertex_count-1.  The constructor
     trusts its arguments: faces from outside come in through
-    `from_faces`, which checks them."""
+    `from_faces`, which checks them.  Frozen, so what it derives in
+    cached properties matches its fields."""
 
     vertex_count: int
     faces_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
     has_empty_face: bool = True
-    _faces_by_mask: dict[int, tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def is_void(self) -> bool:
@@ -49,19 +48,18 @@ class SimplicialComplex:
             out.extend(level)
         return out
 
+    @functools.cached_property
     def face_masks(self) -> dict[int, tuple[int, ...]]:
         """Every face keyed by its bit mask, in all_faces() order; built on
         first use and kept."""
-        if self._faces_by_mask is None:
-            self._faces_by_mask = {set_to_mask(f): f for f in self.all_faces()}
-        return self._faces_by_mask
+        return {set_to_mask(f): f for f in self.all_faces()}
 
     def has_face(self, f) -> bool:
         f = tuple(f)
         vertices = set(f)
         if len(vertices) != len(f) or min(vertices, default=0) < 0:
             return False
-        return set_to_mask(vertices) in self.face_masks()
+        return set_to_mask(vertices) in self.face_masks
 
 
 VOID = SimplicialComplex(0, (), has_empty_face=False)
@@ -178,7 +176,7 @@ def link(c: SimplicialComplex, f) -> SimplicialComplex:
     if not c.has_face(f):
         raise ValueError(f"{tuple(sorted(f))} is not a face of the complex")
     fm = set_to_mask(f)
-    index = c.face_masks()
+    index = c.face_masks
     faces = [index[h ^ fm] for h in index if h & fm == fm]
     levels = [[] for _ in faces[-1]]
     for g in faces[1:]:

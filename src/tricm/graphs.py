@@ -8,23 +8,19 @@ is its rank in lexicographic order over 1 <= i < j <= n.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with a canonical sorted edge list."""
+    """A simple undirected graph with a canonical sorted edge list.
+    Frozen, so what it derives in cached properties matches its fields."""
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] | None = None
-    _neighbor_masks: tuple[int, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
-    _independence_profile: tuple[tuple[int, ...], frozenset[int]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.vertex_count < 0:
@@ -37,21 +33,23 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range")
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate edges")
-        self.edges = edges
+        object.__setattr__(self, "edges", edges)
         if self.labels is not None:
-            self.labels = tuple(self.labels)
+            object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != self.vertex_count:
                 raise ValueError("label count != vertex count")
 
-    @property
+    @functools.cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        if self._neighbor_masks is None:
-            masks = [0] * self.vertex_count
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            self._neighbor_masks = tuple(masks)
-        return self._neighbor_masks
+        masks = [0] * self.vertex_count
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
+    @functools.cached_property
+    def _profile(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        return _profile_walk(self)
 
 
 def set_to_mask(vertices) -> int:
@@ -129,9 +127,12 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
 def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
     """(counts, sizes): counts[k] is the number of independent sets of size
     k for k = 0..alpha(g), and sizes holds the sizes of the maximal ones.
-    Built on first use and kept on the graph.
+    Walked on first use and kept on the graph."""
+    return g._profile
 
-    One level-by-level pass over the search tree of independent sets in
+
+def _profile_walk(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
+    """One level-by-level pass over the search tree of independent sets in
     increasing vertex order, with no tuples.  A set S is known only by its
     state: its candidates (the vertices above max S adjacent to none of S)
     and its blocked mask (the union of the closed neighbourhoods of S).
@@ -149,8 +150,6 @@ def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
     set has one child per candidate, so counts[k + 1] is the sum over the
     states of level k of their number of sets times their candidate count.
     """
-    if g._independence_profile is not None:
-        return g._independence_profile
     n = g.vertex_count
     full = (1 << n) - 1
     non_neighbors = [~m for m in g.neighbor_masks]
@@ -176,8 +175,7 @@ def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
                     sizes.add(len(counts))
         counts.append(children)
         states = next_states
-    g._independence_profile = (tuple(counts), frozenset(sizes))
-    return g._independence_profile
+    return tuple(counts), frozenset(sizes)
 
 
 def independence_number(g: Graph) -> int:

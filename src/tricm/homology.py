@@ -104,10 +104,10 @@ class FieldSpec:
 QQ = FieldSpec(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseMatrix:
     """Sparse matrix as (row, col, value) triples; values are integers
-    interpreted in the working field."""
+    interpreted in the working field.  Checked when built, then frozen."""
 
     row_count: int
     col_count: int
@@ -128,6 +128,7 @@ class SparseMatrix:
             if key in seen:
                 raise ValueError(f"duplicate entry at ({r},{c})")
             seen.add(key)
+
 
 @dataclass(frozen=True)
 class BettiTable:

@@ -150,6 +150,8 @@ def verify_regular(
     n = g.vertex_count
     if seq.variable_count != n:
         raise ValueError("variable count of the sequence does not match the graph")
+    if seq.d > graphs.independence_number(g):
+        raise ValueError("more forms than alpha(G), the Krull dimension of R/I(G)")
     # an empty form is the zero polynomial, of its nominal degree
     form_degrees = tuple(
         sum(p for _, p in f[0]) if f else k + 1 for k, f in enumerate(seq.forms)

@@ -176,19 +176,18 @@ class TestFaceEnumeration:
         # the full route's h-screen reads the profile that the CLI's T_12
         # keeps, however many fields are asked for
         monkeypatch.delenv("TRICM_CACHE_DIR", raising=False)
-        fresh = []
-        real = graphs.independence_profile
+        walks = []
+        real = graphs._profile_walk
 
         def counted(g):
-            if g._independence_profile is None:
-                fresh.append(g)
+            walks.append(g)
             return real(g)
 
-        monkeypatch.setattr(graphs, "independence_profile", counted)
+        monkeypatch.setattr(graphs, "_profile_walk", counted)
         argv = ["classify", "--triangular", "12", "--full", "--char", "0", "--char", "2"]
         rc, out, _ = run(capsys, argv)
         assert rc == 0 and "char 2: NOT_CM (method: h-screen)" in out
-        assert len(fresh) == 1
+        assert len(walks) == 1
 
     def test_h_screen_refutes_without_faces(self, capsys, calls, tmp_path):
         # Ind(K_{2,2}) is two disjoint edges, h = (1, 2, -1)

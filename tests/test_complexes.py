@@ -85,9 +85,9 @@ class TestComplexType:
 
     def test_face_masks_built_on_first_use(self):
         c = triangular_complex(6)
-        assert c._faces_by_mask is None
-        assert list(c.face_masks().values()) == c.all_faces()
-        assert c.face_masks() is c.face_masks()
+        assert "face_masks" not in vars(c)
+        assert list(c.face_masks.values()) == c.all_faces()
+        assert c.face_masks is c.face_masks
 
     def test_closure_validation(self):
         with pytest.raises(ValueError):

@@ -340,6 +340,22 @@ class TestVerifyRegular:
             if e >= 0:
                 assert a >= e
 
+    def test_more_forms_than_krull_dimension(self, monkeypatch):
+        # past alpha(G) forms, h(t) * prod [d_k] bounds no graded dimension
+        # from below, so such a sequence is refused before any matrix
+        def built(*args):
+            raise AssertionError("built a multiplication matrix")
+
+        monkeypatch.setattr(ideals, "SparseMatrix", built)
+        x0, x0_squared = (((0, 1),),), (((0, 2),),)
+        cases = [
+            (Graph(1, ()), (x0, x0_squared)),
+            (Graph(2, ((0, 1),)), ((((0, 1),), ((1, 1),)), x0_squared)),
+        ]
+        for g, forms in cases:
+            seq = HsopSequence("custom", g.vertex_count, forms)
+            with pytest.raises(ValueError, match="Krull dimension"):
+                verify_regular(g, seq, QQ)
 
     def test_empty_form_is_zero(self):
         # x + y and the zero polynomial: K[x, y]/(x + y) never vanishes
