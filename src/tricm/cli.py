@@ -192,7 +192,7 @@ def _vectors_json(f: complexes.FVector) -> dict:
 def _classify(args, input_desc, g, c, report):
     report.update(_vectors_json(complexes.FVector(graphs.independence_profile(g)[0])))
     if input_desc["kind"] == "triangular":
-        verdicts = cmcheck.classify_triangular(input_desc["n"], args.char, force_full=args.full, g=g)
+        verdicts = cmcheck.classify_triangular(input_desc["n"], args.char, force_full=args.full)
     else:
         verdicts = cmcheck.classify_graph(g, args.char, name="delta_G")
     report["verdicts"] = [_verdict_json(v) for v in verdicts]
@@ -210,15 +210,16 @@ def _classify_text(args, report):
 def _vectors(args, input_desc, g, c, report):
     if args.closed_form and input_desc["kind"] != "triangular":
         raise InputError("--closed-form applies to triangular graphs only")
-    f = complexes.FVector(graphs.independence_profile(g)[0])
+    profile = graphs.independence_profile(g)
     if args.closed_form:
-        closed = complexes.triangular_f_closed(input_desc["n"])
-        if closed.entries != f.entries:
+        # T_n's profile comes from the matching counts (graphs.triangular);
+        # walk Ind(T_n) to check them and the maximal size of the header
+        walked = graphs._profile_walk(g)
+        if walked != profile:
             raise AssertionError(
-                f"closed-form f-vector {closed.entries} disagrees with "
-                f"enumeration {f.entries}"
+                f"closed-form profile {profile} disagrees with enumeration {walked}"
             )
-    report.update(_vectors_json(f))
+    report.update(_vectors_json(complexes.FVector(profile[0])))
 
 
 def _vectors_text(args, report):

@@ -88,18 +88,22 @@ def h_screen(c: SimplicialComplex) -> int | None:
     return None if w is None else w.index
 
 
-def _h_screen_verdicts(g: Graph, fields: list[FieldSpec], name: str) -> list[CmVerdict] | None:
-    """NOT_CM over every field with the first negative h-vector entry of
-    Ind(g) as witness, or None if the h-screen passes.  The f-vector is
-    the graph's kept independence profile, so no face is enumerated."""
-    w = _h_witness(complexes.FVector(graphs.independence_profile(g)[0]), name)
-    return None if w is None else [CmVerdict(NOT_CM, f, (w,), "h-screen") for f in fields]
+def _h_screen_verdicts(
+    f: complexes.FVector, fields: list[FieldSpec], name: str
+) -> list[CmVerdict] | None:
+    """NOT_CM over every field with the first negative entry of the
+    h-vector of f as witness, or None if the h-screen passes."""
+    w = _h_witness(f, name)
+    return None if w is None else [CmVerdict(NOT_CM, fld, (w,), "h-screen") for fld in fields]
 
 
 def classify_graph(g: Graph, fields: list[FieldSpec], name: str = "complex") -> list[CmVerdict]:
     """Classification of Ind(g) for an arbitrary graph, one verdict per
-    field in order: the h-screen first, then the generic Reisner check."""
-    return _h_screen_verdicts(g, fields, name) or reisner_check(g, fields, name=name)
+    field in order: the h-screen first, then the generic Reisner check.
+    The h-screen reads the graph's kept independence profile, so it
+    enumerates no face."""
+    f = complexes.FVector(graphs.independence_profile(g)[0])
+    return _h_screen_verdicts(f, fields, name) or reisner_check(g, fields, name=name)
 
 
 def _fold(neighbor_masks: tuple[int, ...], m: int) -> int | None:
@@ -301,7 +305,7 @@ def reisner_triangular(n: int, fields: list[FieldSpec]) -> list[CmVerdict]:
 
 
 def classify_triangular(
-    n: int, fields: list[FieldSpec], force_full: bool = False, g: Graph | None = None
+    n: int, fields: list[FieldSpec], force_full: bool = False
 ) -> list[CmVerdict]:
     """Classification of T_n, one verdict per field in order.
 
@@ -309,8 +313,7 @@ def classify_triangular(
     disconnected and failure propagates up by parity); odd n >= 11 are not
     (negative h-vector entry of D(11) plus parity monotonicity); n in
     {7,9} require the field-dependent homology check.  The full route's
-    h-screen reads the independence profile that g = T_n keeps; T_n is
-    built here unless the caller passes the one it holds.
+    h-screen reads the matching counts of K_n, so it enumerates nothing.
     """
     if n < 2:
         raise ValueError("requires n >= 2")
@@ -320,9 +323,7 @@ def classify_triangular(
     # full route: h-screen first (it refutes D(11) with no linear algebra),
     # then the parity-reduced homology check, which for n in {7, 9} is
     # the fast route itself
-    if g is None:
-        g = graphs.triangular(n)
-    full = _h_screen_verdicts(g, fields, f"delta({n})") or (
+    full = _h_screen_verdicts(complexes.triangular_f_closed(n), fields, f"delta({n})") or (
         fast if n in (7, 9) else reisner_triangular(n, fields)
     )
     if [v.status for v in full] != [v.status for v in fast]:

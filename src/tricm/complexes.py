@@ -153,16 +153,11 @@ def h_vector(f: FVector) -> HVector:
 
 
 def triangular_f_closed(n: int) -> FVector:
-    """Closed-form f-vector of D(n): f_i = n! / (2^{i+1} (i+1)! (n-2i-2)!)."""
+    """Closed-form f-vector of D(n): f_i = n! / (2^{i+1} (i+1)! (n-2i-2)!),
+    the number of (i+1)-edge matchings of K_n."""
     if n < 2:
         raise ValueError("requires n >= 2")
-    entries = [1]
-    for i in range(n // 2):
-        num = math.factorial(n)
-        den = 2 ** (i + 1) * math.factorial(i + 1) * math.factorial(n - 2 * (i + 1))
-        assert num % den == 0
-        entries.append(num // den)
-    return FVector(tuple(entries))
+    return FVector(graphs.matching_counts(n))
 
 
 def link(c: SimplicialComplex, f) -> SimplicialComplex:

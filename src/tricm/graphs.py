@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 
@@ -63,9 +64,21 @@ def pair_label(i: int, j: int) -> str:
     return f"({i} {j})"
 
 
+def matching_counts(n: int) -> tuple[int, ...]:
+    """The number of k-edge matchings of K_n, n! / (k! 2^k (n - 2k)!), for
+    k = 0..n // 2: choose the 2k matched points, then pair them up."""
+    return tuple(
+        math.factorial(n) // (math.factorial(k) * 2**k * math.factorial(n - 2 * k))
+        for k in range(n // 2 + 1)
+    )
+
+
 def triangular(n: int) -> Graph:
     """Triangular graph T_n: vertices are 2-subsets of {1..n}, adjacent iff
-    they intersect."""
+    they intersect.  An independent set of T_n is a matching of K_n, and a
+    matching is maximal iff it leaves at most one point uncovered, so T_n
+    keeps the profile (matching_counts(n), {n // 2}) from the start and
+    never walks it."""
     if n < 2:
         raise ValueError("triangular graph requires n >= 2")
     pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -77,7 +90,11 @@ def triangular(n: int) -> Graph:
         holders[i].append(v)
         holders[j].append(v)
     edges = [e for clique in holders for e in itertools.combinations(clique, 2)]
-    return Graph(len(pairs), tuple(edges), labels)
+    g = Graph(len(pairs), tuple(edges), labels)
+    # a cached_property reads the instance __dict__ first, and writing
+    # there bypasses the frozen __setattr__
+    g.__dict__["_profile"] = (matching_counts(n), frozenset({n // 2}))
+    return g
 
 
 def independent_sets(g: Graph) -> list[list[tuple[int, ...]]]:
@@ -127,7 +144,8 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
 def independence_profile(g: Graph) -> tuple[tuple[int, ...], frozenset[int]]:
     """(counts, sizes): counts[k] is the number of independent sets of size
     k for k = 0..alpha(g), and sizes holds the sizes of the maximal ones.
-    Walked on first use and kept on the graph."""
+    Walked on first use and kept on the graph; T_n has it from
+    `triangular`."""
     return g._profile
 
 

@@ -6,9 +6,12 @@ The quotient R/I(G) has the squarefree Stanley-Reisner structure: a
 monomial survives iff its support is an independent set of G.  Quotienting
 further by candidate parameter forms theta_1..theta_d, the sequence is
 regular exactly when the graded dimensions match the polynomial
-h(t) * prod_k (1 + t + ... + t^{deg theta_k - 1}) degree by degree, down
-to a zero graded piece.  This is a complete decision procedure: a standard
-graded algebra with one zero graded piece vanishes above it.
+h(t) * prod_k (1 + t + ... + t^{deg theta_k - 1}) degree by degree, up to
+a zero graded piece at or above the degree of that polynomial.  This is a
+complete decision procedure: a standard graded algebra with one zero
+graded piece vanishes above it.  A zero piece below that degree settles
+nothing: a coefficient above it may be negative, and then no sequence of
+these degrees is regular.
 
 Inside the verifier a monomial is its dense exponent vector packed into
 one integer: variable v owns a field of w bits, variable 0 the most
@@ -145,7 +148,7 @@ def verify_regular(
     of independent-support monomials minus the rank of the multiplication
     matrix of the forms; it is compared against the expected Artinian
     Hilbert function.  REGULAR requires agreement through the first degree
-    where both vanish.
+    at or above the degree of the expected polynomial where both vanish.
     """
     n = g.vertex_count
     if seq.variable_count != n:
@@ -218,7 +221,7 @@ def verify_regular(
             if first_mismatch is None:
                 first_mismatch = delta
             continue
-        if actual == 0 and e == 0:
+        if actual == 0 and e == 0 and delta >= exp_deg:
             if first_mismatch is None:
                 return RegularityVerdict(REGULAR, field, tuple(per_degree))
             return RegularityVerdict(

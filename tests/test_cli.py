@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +102,16 @@ class TestVectors:
         assert rc == 0
         assert "f = (1,36,378,1260,945)" in out
 
+    def test_closed_form_reports_a_wrong_formula(self, capsys, monkeypatch):
+        # T_6 takes its profile from the formula, so only the enumeration
+        # behind --closed-form can catch it
+        monkeypatch.delenv("TRICM_CACHE_DIR", raising=False)
+        monkeypatch.setattr(graphs, "matching_counts", lambda n: (1, 15, 45, 16))
+        rc, out, _ = run(capsys, ["vectors", "--triangular", "6"])
+        assert rc == 0 and "f = (1,15,45,16)" in out
+        with pytest.raises(AssertionError, match="disagrees with enumeration"):
+            main(["vectors", "--triangular", "6", "--closed-form"])
+
     def test_closed_form_requires_triangular(self, capsys, tmp_path):
         gpath = tmp_path / "g.edges"
         gpath.write_text("a b\n")
@@ -172,22 +183,64 @@ class TestFaceEnumeration:
         last = [QQ] if p == "3" else both
         assert asked == [(3, both), (10, both), (21, both), (36, last)]
 
-    def test_full_triangular_route_computes_one_profile(self, capsys, monkeypatch):
-        # the full route's h-screen reads the profile that the CLI's T_12
-        # keeps, however many fields are asked for
+    @pytest.fixture
+    def walks(self, monkeypatch):
         monkeypatch.delenv("TRICM_CACHE_DIR", raising=False)
-        walks = []
+        walked = []
         real = graphs._profile_walk
+        monkeypatch.setattr(graphs, "_profile_walk", lambda g: walked.append(g) or real(g))
+        return walked
 
-        def counted(g):
-            walks.append(g)
-            return real(g)
-
-        monkeypatch.setattr(graphs, "_profile_walk", counted)
+    def test_full_triangular_route_computes_one_profile(self, capsys, walks):
+        # the header and the full route's h-screen read T_12's matching
+        # counts, however many fields are asked for, and walk nothing
         argv = ["classify", "--triangular", "12", "--full", "--char", "0", "--char", "2"]
         rc, out, _ = run(capsys, argv)
         assert rc == 0 and "char 2: NOT_CM (method: h-screen)" in out
-        assert len(walks) == 1
+        assert walks == []
+
+    @pytest.mark.parametrize(
+        "argv, walked",
+        [
+            (["classify", "--triangular", "9"], 0),
+            (["classify", "--triangular", "9", "--full"], 0),
+            (["vectors", "--triangular", "9"], 0),
+            (["homology", "--triangular", "7"], 0),
+            (["hsop", "--triangular", "5", "--kind", "elementary", "--verify"], 0),
+            (["hsop", "--triangular", "5", "--kind", "powersum", "--verify"], 0),
+            (["vectors", "--triangular", "9", "--closed-form"], 1),
+        ],
+        ids=[
+            "classify",
+            "classify-full",
+            "vectors",
+            "homology",
+            "hsop-elementary",
+            "hsop-powersum",
+            "vectors-closed-form",
+        ],
+    )
+    def test_only_the_cross_check_walks_triangular_input(self, capsys, walks, argv, walked):
+        rc, _, _ = run(capsys, argv)
+        assert rc == 0 and len(walks) == walked
+
+    @pytest.mark.parametrize("command", ["classify", "vectors"])
+    def test_large_triangular_header_is_closed_form(self, capsys, monkeypatch, tmp_path, command):
+        # walking Ind(T_40) would exhaust memory, so a walk fails at once
+        monkeypatch.delenv("TRICM_CACHE_DIR", raising=False)
+
+        def refuse(g):
+            raise AssertionError("walked the profile of T_40")
+
+        monkeypatch.setattr(graphs, "_profile_walk", refuse)
+        # k-matchings of K_40: choose 2k points, then pair them up
+        f = [math.comb(40, 2 * k) * math.prod(range(1, 2 * k, 2)) for k in range(21)]
+        path = tmp_path / "r.json"
+        rc, _, _ = run(capsys, [command, "--triangular", "40", "--json", str(path)])
+        report = load_json(path)
+        assert rc == 0
+        assert (report["independence_number"], report["unmixed"]) == ("20", True)
+        assert report["f_vector"] == [str(v) for v in f]
 
     def test_h_screen_refutes_without_faces(self, capsys, calls, tmp_path):
         # Ind(K_{2,2}) is two disjoint edges, h = (1, 2, -1)
@@ -273,6 +326,23 @@ class TestHsop:
         )
         assert rc == cli.EXIT_INPUT
         assert "cap" in err
+
+    def test_point_plus_edge_is_not_regular(self, capsys, tmp_path):
+        # Ind is a point plus an edge, not CM: the expected series
+        # (1, 2, 0, -1) vanishes at degree 2 but goes negative at 3
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("0 1\n0 2\n")
+        report_path = tmp_path / "r.json"
+        argv = ["hsop", "--graph", str(gpath), "--kind", "elementary", "--verify", "--char", "0"]
+        rc, out, _ = run(capsys, argv + ["--json", str(report_path)])
+        assert rc == 0 and "regularity over char 0: NOT_REGULAR" in out
+        verify = load_json(report_path)["hsop"]["verify"]
+        assert verify["failing_degree"] == 3
+        assert [(row["expected"], row["actual"]) for row in verify["per_degree"]] == [
+            ("1", "1"), ("2", "2"), ("0", "0"), ("-1", "0"),
+        ]
+        rc, out, _ = run(capsys, ["classify", "--graph", str(gpath)])
+        assert rc == 0 and "char 0: NOT_CM (method: h-screen)" in out
 
     def test_empty_graph_is_input_error(self, capsys, tmp_path):
         gpath = tmp_path / "empty.edges"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tricm import complexes, graphs, homology, ideals
+from tricm import cmcheck, complexes, graphs, homology, ideals
 from tricm.complexes import HVector
 from tricm.graphs import Graph, triangular
 from tricm.homology import QQ, FieldSpec, SparseMatrix
@@ -398,6 +398,39 @@ class TestVerifyRegular:
             v = verify_regular(g, seq, field)
             degrees = [d for d, _, _ in v.per_degree]
             assert [a for _, _, a in v.per_degree] == naive_graded_dims(g, seq, field, degrees)
+
+
+class TestAgreesWithReisner:
+    """Over a field k, an h.s.o.p. of k[Ind(G)] is a regular sequence iff
+    k[Ind(G)] is CM, so `verify_regular` and the Reisner check of
+    `cmcheck` must agree wherever the sequence is an h.s.o.p.  The
+    independent-set sums always are one; the power sums are when char k is
+    0 or above alpha(G) (Newton's identities)."""
+
+    def test_point_plus_edge(self):
+        # Ind is a point plus an edge, h = (1, 1, -1): the expected series
+        # (1, 2, 0, -1) vanishes at degree 2 and goes negative at 3
+        g = Graph(3, ((0, 1), (0, 2)))
+        v = verify_regular(g, hsop(g, KIND_INDEPENDENT_SET_SUMS), QQ)
+        assert (v.status, v.failing_degree) == (NOT_REGULAR, 3)
+        assert v.per_degree == ((0, 1, 1), (1, 2, 2), (2, 0, 0), (3, -1, 0))
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        pairs = 0
+        for _ in range(150):
+            n, p = rng.randint(1, 6), rng.uniform(0.2, 0.6)
+            g = Graph(n, tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < p))
+            d = graphs.independence_number(g)
+            for field in (QQ, F2, F3):
+                cm = cmcheck.classify_graph(g, [field])[0].status == cmcheck.CM
+                for kind in KINDS:
+                    if kind == KIND_POWER_SUMS and 0 < field.characteristic <= d:
+                        continue
+                    v = verify_regular(g, hsop(g, kind), field)
+                    assert (v.status == REGULAR) == cm, (g.edges, field, kind, v)
+                    pairs += 1
+        assert pairs > 700
 
 
 class TestSigmaEqualsForm:

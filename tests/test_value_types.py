@@ -3,6 +3,7 @@ inputs; what they derive lives in cached properties, so a copy made by
 `dataclasses.replace` derives it afresh."""
 
 import dataclasses
+import math
 
 from tricm import cmcheck, complexes, graphs, homology, ideals
 from tricm.cmcheck import CM
@@ -40,6 +41,18 @@ def test_replaced_graph_derives_afresh():
     verdicts = cmcheck.classify_graph(replaced, [QQ])
     assert verdicts == cmcheck.classify_graph(fresh, [QQ])
     assert [(v.status, v.method) for v in verdicts] == [(CM, "reisner-full")]
+
+
+def test_replaced_triangular_graph_walks_its_own_profile(monkeypatch):
+    walks = []
+    real = graphs._profile_walk
+    monkeypatch.setattr(graphs, "_profile_walk", lambda g: walks.append(g) or real(g))
+    g = graphs.triangular(5)
+    assert graphs.independence_profile(g) == ((1, 10, 15), frozenset({2}))
+    replaced = dataclasses.replace(g, edges=())
+    profile = (tuple(math.comb(10, k) for k in range(11)), frozenset({10}))
+    assert graphs.independence_profile(replaced) == profile
+    assert walks == [replaced]
 
 
 def test_replaced_complex_derives_afresh():
